@@ -23,7 +23,6 @@
 
 #include "bench_util.h"
 #include "core/harness.h"
-#include "sim/equeue/backend.h"
 #include "sim/rng.h"
 #include "sim/scheduler.h"
 #include "stats/table.h"
@@ -45,30 +44,13 @@ void prefill_hold(Scheduler& s, Rng& rng, std::size_t pending) {
   }
 }
 
-// Second benchmark argument for the scheduler mixes: which event-queue
-// backend the Scheduler is constructed with (sim/equeue). 0 = auto (the
-// production default), 1..3 pin a concrete backend; results are
-// bit-identical, only throughput differs (bench_e12 tracks the raw-queue
-// grid, these rows track the same choice seen through the full scheduler).
-constexpr EqueueBackend kBenchBackends[] = {
-    EqueueBackend::kAuto, EqueueBackend::kHeap, EqueueBackend::kCalendar,
-    EqueueBackend::kLadder};
-
-EqueueBackend bench_backend(std::int64_t index) {
-  return kBenchBackends[static_cast<std::size_t>(index)];
-}
-
-// Small sizes stay on the auto default (their historical rows); the 16k
-// and 65k points fan out across every backend (ISSUE 4 satellite).
+// Pending-set sizes for the scheduler mixes: each mix's historical small
+// sizes plus the 16k and 65k points where the heap's O(log n) shows.
 void scheduler_mix_args(benchmark::internal::Benchmark* b,
                         std::initializer_list<int> small_sizes) {
-  for (int pending : small_sizes) b->Args({pending, 0});
-  for (int pending : {16384, 65536}) {
-    for (int backend = 1; backend <= 3; ++backend) {
-      b->Args({pending, backend});
-    }
-  }
-  b->ArgNames({"pending", "be"});
+  for (int pending : small_sizes) b->Arg(pending);
+  for (int pending : {16384, 65536}) b->Arg(pending);
+  b->ArgName("pending");
 }
 
 }  // namespace
@@ -95,27 +77,12 @@ void print_experiment_tables() {
   };
 
   constexpr std::uint64_t kHoldEvents = 1u << 21;
-  for (std::size_t pending : {64u, 4096u, 65536u}) {
+  for (std::size_t pending : {64u, 4096u, 16384u, 65536u}) {
     Scheduler s;
     Rng rng(42);
     prefill_hold(s, rng, pending);
     time_events("hold", pending, kHoldEvents,
                 [&] { s.run_steps(kHoldEvents); });
-  }
-  // The same steady-state mix per pinned backend at the scales where the
-  // heap bends (the e12 grid shows the raw-queue view of the same choice).
-  for (EqueueBackend backend :
-       {EqueueBackend::kHeap, EqueueBackend::kCalendar,
-        EqueueBackend::kLadder}) {
-    for (std::size_t pending : {16384u, 65536u}) {
-      Scheduler s(backend);
-      Rng rng(42);
-      prefill_hold(s, rng, pending);
-      const std::string label =
-          std::string("hold/") + equeue_backend_name(backend);
-      time_events(label.c_str(), pending, kHoldEvents,
-                  [&] { s.run_steps(kHoldEvents); });
-    }
   }
 
   {
@@ -172,7 +139,7 @@ void print_experiment_tables() {
 static void BM_SchedulerHold(benchmark::State& state) {
   const auto pending = static_cast<std::size_t>(state.range(0));
   constexpr std::uint64_t kBatch = 4096;
-  Scheduler s(bench_backend(state.range(1)));
+  Scheduler s;
   Rng rng(42);
   prefill_hold(s, rng, pending);
   for (auto _ : state) {
@@ -190,7 +157,7 @@ static void BM_SchedulerDrain(benchmark::State& state) {
   const auto batch = static_cast<std::size_t>(state.range(0));
   Rng rng(42);
   for (auto _ : state) {
-    Scheduler s(bench_backend(state.range(1)));
+    Scheduler s;
     for (std::size_t i = 0; i < batch; ++i) {
       s.schedule_at(rng.uniform01() * 1000.0, [] {});
     }
@@ -209,7 +176,7 @@ BENCHMARK(BM_SchedulerDrain)->Apply([](benchmark::internal::Benchmark* b) {
 static void BM_SchedulerChurn(benchmark::State& state) {
   constexpr std::uint64_t kBatch = 4096;
   const auto pending = static_cast<std::size_t>(state.range(0));
-  Scheduler s(bench_backend(state.range(1)));
+  Scheduler s;
   Rng rng(7);
   for (std::size_t i = 0; i < pending; ++i) {
     s.schedule_at(1e9 + static_cast<double>(i), [] {});

@@ -11,7 +11,6 @@
 #include <string>
 #include <thread>
 
-#include "sim/equeue/backend.h"
 #include "stats/table.h"
 
 // Build provenance, injected by bench/CMakeLists.txt so every BENCH_*.json
@@ -55,13 +54,6 @@ inline void add_run_metadata() {
   ::benchmark::AddCustomContext(
       "abe_hardware_threads",
       std::to_string(std::thread::hardware_concurrency()));
-  // The process-wide scheduler default (ABE_EQUEUE override included), so
-  // a baseline recorded under a pinned backend is never mistaken for the
-  // auto default.
-  ::benchmark::AddCustomContext(
-      "abe_equeue_default",
-      ::abe::equeue_backend_name(
-          ::abe::resolve_equeue_backend(::abe::EqueueBackend::kAuto)));
 }
 
 }  // namespace abe::benchutil

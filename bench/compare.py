@@ -68,7 +68,6 @@ def metadata_from_context(context):
         "compiler": context.get("abe_compiler", "unknown"),
         "build_type": context.get("abe_build_type", "unknown"),
         "hardware_threads": context.get("abe_hardware_threads", "unknown"),
-        "equeue_default": context.get("abe_equeue_default", "unknown"),
         "recorded": datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
     }
 

@@ -38,19 +38,15 @@
 //   --trials N    trials per cell (default: the spec's default_trials)
 //   --seed N      seed base (default 1; trials use seed, seed+1, …)
 //   --threads N   trial-pool width (default: ABE_TRIAL_THREADS or serial)
-//   --equeue B    scheduler event-queue backend (auto|heap|calendar|ladder)
-//                 for cells that do not pin one; recorded in the JSON
-//                 provenance block. Results are bit-identical per backend.
 //   --runtime R   execution substrate (sim|thread|udp) for cells that do
 //                 not pin one. `thread` runs one OS thread per node with
 //                 wall-clock delays — a fidelity check on the simulator;
 //                 `udp` additionally makes every message a real loopback
 //                 datagram (one socket per node) and measures transit
 //                 delay instead of simulating it. Cells a wall-clock
-//                 runtime cannot realise (piecewise drift, pinned equeue,
-//                 n > 256 threads / n > 128 sockets) are rejected up
-//                 front, and wall-clock results are nondeterministic by
-//                 design.
+//                 runtime cannot realise (piecewise drift, n > 256
+//                 threads / n > 128 sockets) are rejected up front, and
+//                 wall-clock results are nondeterministic by design.
 //   --arq         udp cells only (run/replay): layer the net/arq.h
 //                 retransmission protocol per channel (ACKs, seq dedup,
 //                 bounded retries) so lossy cells still deliver exactly
@@ -83,7 +79,6 @@
 #include "core/trial_pool.h"
 #include "scenario/drivers.h"
 #include "scenario/scenario.h"
-#include "sim/equeue/backend.h"
 #include "scenario/sweep.h"
 #include "stats/table.h"
 #include "trace/trace_export.h"
@@ -113,18 +108,17 @@ int usage(const char* program) {
                "       %s run <scenario> [--trials N] [--seed N] "
                "[--threads N] [--n N] [--delay NAME] [--mean M] "
                "[--failure F] [--behavior B] [--adversary A] "
-               "[--equeue B] [--runtime R] [--arq] [--json PATH]\n"
+               "[--runtime R] [--arq] [--json PATH]\n"
                "       %s sweep [<sweep>] [--trials N] [--seed N] "
-               "[--threads N] [--equeue B] [--runtime R] [--json PATH]\n"
+               "[--threads N] [--runtime R] [--json PATH]\n"
                "       %s replay <scenario> --seed N [--n N] [--delay NAME] "
                "[--mean M] [--failure F] [--behavior B] [--adversary A]\n"
                "       %s report [<sweep-or-scenario>] [--trials N] "
-               "[--seed N] [--threads N] [--equeue B] [--runtime R] "
-               "[--json PATH]\n"
+               "[--seed N] [--threads N] [--runtime R] [--json PATH]\n"
                "       %s trace <scenario> --seed N [--chrome PATH] "
                "[--jsonl PATH] [run overrides]\n"
                "       %s critical-path [<sweep-or-scenario>] [--trials N] "
-               "[--seed N] [--threads N] [--equeue B] [--timeseries I] "
+               "[--seed N] [--threads N] [--timeseries I] "
                "[--json PATH]\n",
                program, program, program, program, program, program,
                program, program);
@@ -162,13 +156,11 @@ int cmd_describe(const std::string& name) {
 abe::SweepRunMetadata make_metadata(std::uint64_t trials,
                                     std::uint64_t seed_base,
                                     unsigned threads,
-                                    abe::EqueueBackend equeue,
                                     abe::RuntimeKind runtime) {
   abe::SweepRunMetadata meta;
   meta.git_sha = ABE_BENCH_GIT_SHA;
   meta.compiler = ABE_BENCH_COMPILER;
   meta.build_type = ABE_BENCH_BUILD_TYPE;
-  meta.equeue = abe::equeue_backend_name(equeue);
   meta.runtime = abe::runtime_kind_name(runtime);
   meta.threads = abe::resolve_trial_threads(threads);
   meta.trials = trials;
@@ -282,24 +274,6 @@ int run_cells(std::vector<abe::ScenarioSpec> cells,
   const auto seed_base = static_cast<std::uint64_t>(seed_flag);
   const auto threads = static_cast<unsigned>(threads_flag);
 
-  // --equeue applies to every cell that has not pinned a backend itself
-  // (matrix axes like the scale sweep keep their pins so their cell ids
-  // stay truthful). Unknown names are rejected before any trial runs.
-  abe::EqueueBackend equeue = abe::EqueueBackend::kAuto;
-  if (flags.has("equeue")) {
-    const std::string name = flags.get_string("equeue", "auto");
-    if (!abe::equeue_backend_from_name(name, &equeue)) {
-      std::fprintf(stderr,
-                   "unknown equeue backend '%s'; known: auto heap calendar "
-                   "ladder\n",
-                   name.c_str());
-      return 2;
-    }
-    for (abe::ScenarioSpec& cell : cells) {
-      if (cell.equeue == abe::EqueueBackend::kAuto) cell.equeue = equeue;
-    }
-  }
-
   // --runtime applies to every cell that has not pinned a substrate itself
   // (a matrix runtimes axis keeps its pins so cell ids stay truthful).
   // Cells the selected runtime cannot realise are rejected before any
@@ -373,7 +347,7 @@ int run_cells(std::vector<abe::ScenarioSpec> cells,
   }
   if (!json_path.empty() &&
       !emit_json(json_path,
-                 make_metadata(trials, seed_base, threads, equeue, runtime),
+                 make_metadata(trials, seed_base, threads, runtime),
                  outcomes)) {
     return 2;
   }
@@ -708,7 +682,7 @@ int main(int argc, char** argv) {
   // before any trials run, not silently defaulted.
   for (const char* known :
        {"trials", "seed", "threads", "json", "n", "delay", "mean",
-        "equeue", "runtime", "arq", "failure", "behavior", "adversary",
+        "runtime", "arq", "failure", "behavior", "adversary",
         "chrome", "jsonl", "timeseries"}) {
     flags.has(known);
   }

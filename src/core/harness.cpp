@@ -223,7 +223,6 @@ RuntimeConfig election_runtime_config(const ElectionExperiment& experiment) {
   config.processing = experiment.processing;
   config.loss_probability = experiment.loss_probability;
   config.seed = experiment.seed;
-  config.equeue = experiment.equeue;
   config.deadline = experiment.deadline;
   config.trace = experiment.trace;
   return config;

@@ -23,7 +23,6 @@
 #include "net/topology.h"
 #include "obs/metrics.h"
 #include "obs/timeseries.h"
-#include "sim/equeue/backend.h"
 #include "sim/scheduler.h"
 #include "trace/trace.h"
 
@@ -95,10 +94,6 @@ struct NetworkConfig {
   double loss_probability = 0.0;
   // Root seed; all stochastic behaviour derives from it.
   std::uint64_t seed = 1;
-  // Event-queue backend for the scheduler (sim/equeue/backend.h). A pure
-  // performance knob: every backend pops in the identical order, so seeded
-  // runs are bit-identical across backends. ABE_EQUEUE overrides.
-  EqueueBackend equeue = EqueueBackend::kAuto;
   // Extended observability (obs/metrics.h): per-channel deliver/drop
   // vectors and a sampled channel-delay histogram, harvested by
   // metrics_snapshot(). Off by default; recording consumes no randomness

@@ -130,7 +130,7 @@ struct MetricValue {
 };
 
 // A point-in-time harvest: entries sorted by name (the deterministic
-// serialization order the schema-v5 validator checks), merged across trials
+// serialization order the sweep validator checks), merged across trials
 // with order-commutative semantics.
 class MetricsSnapshot {
  public:
@@ -154,7 +154,7 @@ class MetricsSnapshot {
   // Aligned human-readable table (histograms render count + p50/p90/p99).
   std::string render() const;
   // Deterministic JSON array of {name, kind, value | bounds+counts},
-  // appended to `out`; the per-cell "metrics" block of sweep schema v5.
+  // appended to `out`; the per-cell "metrics" block of the sweep JSON.
   void append_json(std::string* out) const;
 
   bool operator==(const MetricsSnapshot& other) const {

@@ -49,7 +49,6 @@ NetworkConfig SimRuntime::to_network_config(RuntimeConfig config) {
   net.tick_local_period = config.tick_local_period;
   net.loss_probability = config.loss_probability;
   net.seed = config.seed;
-  net.equeue = config.equeue;
   net.metrics = config.metrics;
   net.causal_history = config.causal_history;
   net.timeseries_interval = config.timeseries_interval;

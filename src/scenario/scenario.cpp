@@ -376,9 +376,6 @@ std::string ScenarioSpec::cell_id() const {
   os << scenario_algorithm_name(algorithm) << "/" << topology.describe()
      << "/" << delay_name << "/" << DriftBand{clock_bounds, drift}.describe()
      << "/" << failure.describe();
-  if (equeue != EqueueBackend::kAuto) {
-    os << "/eq-" << equeue_backend_name(equeue);
-  }
   if (runtime != RuntimeKind::kSim) {
     os << "/rt-" << runtime_kind_name(runtime);
     // ARQ reliable mode changes what a udp cell measures (goodput under
@@ -430,14 +427,6 @@ std::string runtime_cell_problem(const ScenarioSpec& spec) {
            "piecewise-random drift is impossible there (use kNone or "
            "kFixedRandomRate)";
   }
-  if (spec.equeue != EqueueBackend::kAuto) {
-    if (udp) {
-      return "the event-queue backend is a simulator scheduler knob; udp "
-             "cells must keep equeue=auto";
-    }
-    return "the event-queue backend is a simulator scheduler knob; thread "
-           "cells must keep equeue=auto";
-  }
   if (udp) {
     if (spec.topology.n > kMaxUdpRuntimeNodes) {
       return "n=" + std::to_string(spec.topology.n) +
@@ -475,8 +464,7 @@ std::string ScenarioSpec::describe() const {
                     : "calibrated c/n^2 (linear regime)")
        << "\n";
   }
-  os << "equeue   : " << equeue_backend_name(equeue) << "\n"
-     << "runtime  : " << runtime_kind_name(runtime)
+  os << "runtime  : " << runtime_kind_name(runtime)
      << (runtime == RuntimeKind::kUdp && udp_reliable ? " (arq reliable)" : "")
      << "\n";
   // Structural runtime compatibility, mirroring the algorithm×topology
@@ -639,8 +627,6 @@ std::vector<ScenarioSpec> ScenarioMatrix::expand() const {
   if (drift_axis.empty()) drift_axis.push_back(DriftBand{});
   std::vector<FailureProfile> failure_axis = failures;
   if (failure_axis.empty()) failure_axis.push_back(FailureProfile::none());
-  std::vector<EqueueBackend> equeue_axis = equeues;
-  if (equeue_axis.empty()) equeue_axis.push_back(base.equeue);
   std::vector<RuntimeKind> runtime_axis = runtimes;
   if (runtime_axis.empty()) runtime_axis.push_back(base.runtime);
   std::vector<BehaviorSpec> behavior_axis = behaviors;
@@ -655,32 +641,29 @@ std::vector<ScenarioSpec> ScenarioMatrix::expand() const {
       for (const auto& [delay_name, mean] : delays) {
         for (const DriftBand& drift : drift_axis) {
           for (const FailureProfile& failure : failure_axis) {
-            for (EqueueBackend equeue : equeue_axis) {
-              for (RuntimeKind runtime : runtime_axis) {
-                for (const BehaviorSpec& behavior : behavior_axis) {
-                  for (const std::string& adversary : adversary_axis) {
-                    ScenarioSpec cell = base;
-                    cell.name.clear();
-                    cell.description = description;
-                    cell.algorithm = algorithm;
-                    cell.topology = topology;
-                    cell.delay_name = delay_name;
-                    cell.mean_delay = mean;
-                    cell.clock_bounds = drift.bounds;
-                    cell.drift = drift.model;
-                    cell.failure = failure;
-                    cell.equeue = equeue;
-                    cell.runtime = runtime;
-                    cell.behavior = behavior;
-                    cell.adversary = adversary;
-                    // Same silent-filter policy as algorithm×topology: a
-                    // broad {sim, thread} axis keeps only its realisable
-                    // half, and a behavior axis keeps only the algorithms
-                    // that realise the profile.
-                    if (!runtime_cell_problem(cell).empty()) continue;
-                    if (!behavior_cell_problem(cell).empty()) continue;
-                    cells.push_back(std::move(cell));
-                  }
+            for (RuntimeKind runtime : runtime_axis) {
+              for (const BehaviorSpec& behavior : behavior_axis) {
+                for (const std::string& adversary : adversary_axis) {
+                  ScenarioSpec cell = base;
+                  cell.name.clear();
+                  cell.description = description;
+                  cell.algorithm = algorithm;
+                  cell.topology = topology;
+                  cell.delay_name = delay_name;
+                  cell.mean_delay = mean;
+                  cell.clock_bounds = drift.bounds;
+                  cell.drift = drift.model;
+                  cell.failure = failure;
+                  cell.runtime = runtime;
+                  cell.behavior = behavior;
+                  cell.adversary = adversary;
+                  // Same silent-filter policy as algorithm×topology: a
+                  // broad {sim, thread} axis keeps only its realisable
+                  // half, and a behavior axis keeps only the algorithms
+                  // that realise the profile.
+                  if (!runtime_cell_problem(cell).empty()) continue;
+                  if (!behavior_cell_problem(cell).empty()) continue;
+                  cells.push_back(std::move(cell));
                 }
               }
             }
@@ -844,24 +827,17 @@ std::vector<ScenarioMatrix> build_sweeps() {
     sweeps.push_back(std::move(m));
   }
 
-  // Scale sweep (ISSUE 4 acceptance): the n >= 10^4 cells the ROADMAP
-  // deferred until an O(1) event queue existed. Polling election on big
-  // tori, crossed with every equeue backend: the aggregates must be
-  // bit-identical across the backend axis (and across thread counts —
-  // test_scenario asserts both), so the axis measures pure scheduler
-  // throughput on a workload whose pending set actually reaches the
-  // calendar/ladder regime.
+  // Scale sweep: the n >= 10^4 cells. Polling election on big tori, one
+  // cell per n; the aggregates must be bit-identical across trial-pool
+  // widths (test_equeue_stress asserts it at n = 10^4).
   {
     ScenarioMatrix m;
     m.name = "scale";
-    m.description =
-        "polling election at n in {10^4, 3x10^4} x every equeue backend";
+    m.description = "polling election on the torus at n in {10^4, 3x10^4}";
     m.algorithms = {ScenarioAlgorithm::kPollingElection};
     m.topologies = {TopologySpec{TopologyFamily::kTorus, 10000, 0.0},
                     TopologySpec{TopologyFamily::kTorus, 30000, 0.0}};
     m.delays = {{"exponential", 1.0}};
-    m.equeues = {EqueueBackend::kHeap, EqueueBackend::kCalendar,
-                 EqueueBackend::kLadder};
     m.base.default_trials = 4;
     sweeps.push_back(std::move(m));
   }

@@ -31,7 +31,6 @@
 #include "net/network.h"
 #include "net/topology.h"
 #include "runtime/runtime.h"
-#include "sim/equeue/backend.h"
 #include "sim/time.h"
 
 namespace abe {
@@ -183,10 +182,6 @@ struct ScenarioSpec {
   std::uint64_t default_trials = 8;
   SimTime deadline = 1e7;
   SimTime settle_time = 10.0;
-  // Scheduler event-queue backend for every trial of this cell. A pure
-  // performance knob: aggregates are bit-identical across backends, which
-  // the scale sweep asserts by running the same cell on all three.
-  EqueueBackend equeue = EqueueBackend::kAuto;
 
   // Execution substrate (runtime/runtime.h): the deterministic simulator
   // (default) or one OS thread per node with wall-clock delays. Not every
@@ -217,14 +212,12 @@ struct ScenarioSpec {
   double timeseries_interval = 0.0;
 
   // Stable identifier of this cell within a sweep:
-  // "<algorithm>/<topology>/<delay>/<drift>/<failure>", plus a trailing
-  // "/eq-<backend>" when a non-default event queue is pinned (so a
-  // backend-swept matrix keeps unique ids without disturbing existing
-  // auto-backend ids), plus "/rt-thread" or "/rt-udp" when the cell runs
-  // on a non-simulator substrate (simulator cells keep their
-  // pre-runtime-axis ids; udp cells in ARQ reliable mode add "/arq"), plus
-  // "/beh-<behavior>" and "/adv-<policy>" when the adversary axes are
-  // non-default (honest cells keep their pre-adversary ids).
+  // "<algorithm>/<topology>/<delay>/<drift>/<failure>", plus "/rt-thread"
+  // or "/rt-udp" when the cell runs on a non-simulator substrate
+  // (simulator cells keep their pre-runtime-axis ids; udp cells in ARQ
+  // reliable mode add "/arq"), plus "/beh-<behavior>" and "/adv-<policy>"
+  // when the adversary axes are non-default (honest cells keep their
+  // pre-adversary ids).
   std::string cell_id() const;
   // Multi-line human rendering for `abe_scenarios describe`.
   std::string describe() const;
@@ -232,10 +225,9 @@ struct ScenarioSpec {
 
 // Why this cell cannot run on its selected runtime — empty when it can.
 // Simulator cells always can; thread cells are rejected for piecewise
-// drift (wall clocks can only realise fixed rates), pinned event-queue
-// backends (a simulator-only knob), or n beyond the one-OS-thread-per-node
-// budget (kMaxThreadRuntimeNodes). Udp cells share the drift and equeue
-// rejections and have the tighter per-node socket/port budget
+// drift (wall clocks can only realise fixed rates) or n beyond the
+// one-OS-thread-per-node budget (kMaxThreadRuntimeNodes). Udp cells share
+// the drift rejection and have the tighter per-node socket/port budget
 // (kMaxUdpRuntimeNodes: one loopback socket + two OS threads per node).
 // The validation boundary for user input (CLI --runtime), where aborting
 // is rude; mirrors TopologySpec::problem.
@@ -276,9 +268,6 @@ struct ScenarioMatrix {
   std::vector<std::pair<std::string, double>> delays;  // (name, mean)
   std::vector<DriftBand> drifts;
   std::vector<FailureProfile> failures;
-  // Event-queue backends; empty means {base.equeue}. The scale sweep uses
-  // this axis to cross-check bit-identical aggregates at n >= 10^4.
-  std::vector<EqueueBackend> equeues;
   // Execution substrates; empty means {base.runtime}. A {kSim, kThread}
   // axis runs every realisable cell on both — the cross-runtime fidelity
   // check the ABE model positions itself for.

@@ -175,13 +175,12 @@ void append_critical_path_json(const CriticalPathAggregate& aggregate,
 void write_sweep_json(std::ostream& os, const SweepRunMetadata& metadata,
                       const std::vector<SweepCellOutcome>& outcomes) {
   os << "{\n"
-     << "  \"schema\": \"abe-scenario-sweep-v7\",\n"
+     << "  \"schema\": \"abe-scenario-sweep-v8\",\n"
      << "  \"metadata\": {\n"
      << "    \"git_sha\": \"" << json_escape(metadata.git_sha) << "\",\n"
      << "    \"compiler\": \"" << json_escape(metadata.compiler) << "\",\n"
      << "    \"build_type\": \"" << json_escape(metadata.build_type)
      << "\",\n"
-     << "    \"equeue\": \"" << json_escape(metadata.equeue) << "\",\n"
      << "    \"runtime\": \"" << json_escape(metadata.runtime) << "\",\n"
      << "    \"trial_threads\": " << metadata.threads << ",\n"
      << "    \"trials\": " << metadata.trials << ",\n"
@@ -213,8 +212,6 @@ void write_sweep_json(std::ostream& os, const SweepRunMetadata& metadata,
        << "      \"adversary\": \""
        << json_escape(spec.adversary.empty() ? "none" : spec.adversary)
        << "\",\n"
-       << "      \"equeue\": \""
-       << equeue_backend_name(spec.equeue) << "\",\n"
        << "      \"runtime\": \""
        << runtime_kind_name(spec.runtime) << "\",\n"
        << "      \"trials\": " << agg.trials << ",\n"

@@ -9,26 +9,20 @@
 // of the trial seed, so graph randomness is part of the Monte-Carlo estimate
 // and equally reproducible.
 //
-// The JSON document (schema "abe-scenario-sweep-v7") carries the same
+// The JSON document (schema "abe-scenario-sweep-v8") carries the same
 // provenance metadata as the BENCH_*.json perf trajectory — git sha,
-// compiler, build type, thread count, the event-queue backend, plus the
-// execution runtime — so sweep results are attributable to a commit,
-// toolchain, scheduler and substrate; bench/validate_scenarios.py checks
-// the structure (v2..v6 documents, which predate the runtime axis, the
-// adversary axes, the observability block, the causal block, and the udp
-// substrate respectively, are still accepted there). v4 added the
-// safety-probe fields: per-cell stalled counts, behavior/adversary axis
-// values, and the replayable seeds behind any safety violations. v5 added
-// the observability block: a per-cell "metrics" array (the merged
-// MetricsSnapshot, deterministic on simulator cells) and a "wall" object
-// (summed wall-clock phase times, never deterministic). v6 added the
-// causal block: a per-cell "critical_path" object (obs/causal.h —
-// decision-chain length, per-component attribution summaries, heaviest
-// channels and the worst replayable trial) plus an optional "timeseries"
-// object when the cell sampled the sim-time grid (obs/timeseries.h).
-// v7 admits "udp" as a runtime value (metadata + cells) and adds
-// "total_ms" to the wall object, measured between the same chained clock
-// reads as the phases so build + run + settle == total.
+// compiler, build type, thread count and the execution runtime — so sweep
+// results are attributable to a commit, toolchain and substrate;
+// bench/validate_scenarios.py checks the structure. Each cell carries its
+// axis values (runtime, behavior, adversary), stalled counts and the
+// replayable seeds behind any safety violations; a "metrics" array (the
+// merged MetricsSnapshot, deterministic on simulator cells); a "wall"
+// object (summed wall-clock phase times plus "total_ms", measured between
+// the same chained clock reads so build + run + settle == total — never
+// deterministic); a "critical_path" object (obs/causal.h — decision-chain
+// length, per-component attribution summaries, heaviest channels and the
+// worst replayable trial); and an optional "timeseries" object when the
+// cell sampled the sim-time grid (obs/timeseries.h).
 #pragma once
 
 #include <cstdint>
@@ -114,9 +108,6 @@ struct SweepRunMetadata {
   std::string git_sha = "unknown";
   std::string compiler = "unknown";
   std::string build_type = "unknown";
-  // CLI-level --equeue selection ("auto" unless overridden); each cell
-  // additionally records its own effective backend.
-  std::string equeue = "auto";
   // CLI-level --runtime selection ("sim" unless overridden); each cell
   // additionally records its own effective runtime.
   std::string runtime = "sim";
@@ -135,14 +126,14 @@ std::vector<SweepCellOutcome> run_sweep(
     std::uint64_t seed_base = 1, unsigned threads = 0,
     const SweepProgressFn& progress = nullptr);
 
-// Structured per-cell JSON, schema "abe-scenario-sweep-v7".
+// Structured per-cell JSON, schema "abe-scenario-sweep-v8".
 void write_sweep_json(std::ostream& os, const SweepRunMetadata& metadata,
                       const std::vector<SweepCellOutcome>& outcomes);
 
-// Serialises one cell's critical-path aggregate as the JSON object the v6
+// Serialises one cell's critical-path aggregate as the JSON object the
 // "critical_path" field carries. Exposed (rather than folded into
 // write_sweep_json) so the golden test can pin the byte-exact rendering of
-// a fixed-seed cell across event-queue backends and thread counts.
+// a fixed-seed cell across trial-pool widths.
 void append_critical_path_json(const CriticalPathAggregate& aggregate,
                                std::string* out);
 

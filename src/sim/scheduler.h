@@ -3,36 +3,24 @@
 // Events are (time, sequence, closure) triples processed in nondecreasing
 // time order; ties break by insertion sequence so runs are deterministic.
 //
-// Since the equeue subsystem landed, the scheduler is a thin policy layer:
-// it owns the slab of event records (slot-indexed, free-listed, so the
-// allocation high-water mark tracks the peak number of simultaneously live
-// events) and delegates the priority structure to a pluggable EventQueue
-// backend (sim/equeue/) selected at construction — the extracted 4-ary
-// heap, a calendar queue, or a ladder queue. Records are generation
-// counted, so a handle to an event that already ran or was cancelled can
-// never touch the slot's next occupant, and every backend cancels by slot
-// in O(log n) or better — no lazy-deletion tombstones accumulate under
-// schedule/cancel churn (ARQ retransmission timers cancel nearly every
-// event they schedule). Actions are stored inline in the record
-// (InlineAction) — scheduling allocates nothing once the slab has grown to
-// the workload's live size.
-//
-// Backend selection (see sim/equeue/backend.h and README "Event-queue
-// backends"): an explicit EqueueBackend constructor argument, overridden
-// process-wide by the ABE_EQUEUE environment variable; the default kAuto
-// starts on the heap and migrates to the calendar queue once the pending
-// set crosses kEqueueAutoThreshold. Pop order — and therefore every seeded
-// trial — is bit-identical across backends.
+// The scheduler owns the slab of event records (slot-indexed, free-listed,
+// so the allocation high-water mark tracks the peak number of
+// simultaneously live events) and orders them with a 4-ary heap held by
+// value (sim/heap_queue.h). Records are generation counted, so a handle to
+// an event that already ran or was cancelled can never touch the slot's
+// next occupant, and cancel removes the event's heap entry by slot in
+// O(log n) — no lazy-deletion tombstones accumulate under schedule/cancel
+// churn (ARQ retransmission timers cancel nearly every event they
+// schedule). Actions are stored inline in the record (InlineAction) —
+// scheduling allocates nothing once the slab has grown to the workload's
+// live size.
 #pragma once
 
 #include <cstdint>
 #include <cstring>
-#include <memory>
 #include <vector>
 
-#include "sim/equeue/backend.h"
-#include "sim/equeue/event_queue.h"
-#include "sim/equeue/heap_queue.h"
+#include "sim/heap_queue.h"
 #include "sim/inline_action.h"
 #include "sim/time.h"
 #include "util/ids.h"
@@ -43,9 +31,7 @@ class Scheduler {
  public:
   using Action = InlineAction;
 
-  // Backend per resolve_equeue_backend(requested): ABE_EQUEUE wins when
-  // set, else `requested`. The default is the auto policy.
-  explicit Scheduler(EqueueBackend requested = EqueueBackend::kAuto);
+  Scheduler() = default;
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
 
@@ -87,29 +73,16 @@ class Scheduler {
   void request_stop() { stop_requested_ = true; }
 
   // True when no live (non-cancelled) events remain.
-  bool idle() const { return q_size() == 0; }
+  bool idle() const { return queue_.size() == 0; }
 
-  // Time of the next live event, or +inf when idle. O(1) on the heap
-  // backend; amortized O(1) elsewhere. Non-const since the equeue
-  // subsystem landed: bucketed backends may reorganize internal storage on
-  // peek (the ladder materializes its bottom rung, the calendar caches the
-  // minimum — which is also why peek-then-pop loops never pay twice).
-  SimTime next_event_time() {
-    const QueueEntry* top = q_peek();
+  // Time of the next live event, or +inf when idle. O(1).
+  SimTime next_event_time() const {
+    const QueueEntry* top = queue_.peek_min();
     return top == nullptr ? kTimeInfinity : bits_to_time(top->time_bits);
   }
 
   // Number of live pending events.
-  std::uint64_t live_count() const { return q_size(); }
-
-  // Introspection alias for live_count(): the pending-set size, the
-  // quantity backend selection keys on.
-  std::uint64_t pending() const { return q_size(); }
-
-  // Name of the ACTIVE queue backend: "heap", "calendar" or "ladder".
-  // Under kAuto this changes from "heap" to "calendar" when the pending
-  // set first crosses kEqueueAutoThreshold.
-  const char* backend_name() const { return queue_->name(); }
+  std::uint64_t live_count() const { return queue_.size(); }
 
   // Total events processed over the scheduler's lifetime (for metrics).
   std::uint64_t processed_count() const { return processed_; }
@@ -167,37 +140,6 @@ class Scheduler {
   void release_slot(std::uint32_t slot);
   // Pops and executes the earliest event. Pre: !idle().
   void run_top();
-  // kAuto policy: heap -> calendar migration past the threshold.
-  void maybe_migrate();
-
-  // Devirtualized queue access: the heap is the default backend of every
-  // small simulation (the elections the repo benchmarks live on), so when
-  // it is active the run loops go through `fast_heap_` — HeapQueue is
-  // final with inline bodies, so these compile to the same code the
-  // pre-equeue scheduler had. The branch predicts perfectly (the pointer
-  // changes at most once, at auto-migration).
-  std::size_t q_size() const {
-    return fast_heap_ != nullptr ? fast_heap_->size() : queue_->size();
-  }
-  const QueueEntry* q_peek() {
-    return fast_heap_ != nullptr ? fast_heap_->peek_min()
-                                 : queue_->peek_min();
-  }
-  QueueEntry q_pop() {
-    return fast_heap_ != nullptr ? fast_heap_->pop_min()
-                                 : queue_->pop_min();
-  }
-  void q_push(const QueueEntry& entry) {
-    if (fast_heap_ != nullptr) {
-      fast_heap_->push(entry);
-    } else {
-      queue_->push(entry);
-    }
-  }
-  bool q_erase(std::uint32_t slot) {
-    return fast_heap_ != nullptr ? fast_heap_->erase_slot(slot)
-                                 : queue_->erase_slot(slot);
-  }
 
   SimTime now_ = kTimeZero;
   std::uint64_t next_seq_ = 0;
@@ -206,10 +148,8 @@ class Scheduler {
   std::uint64_t cancelled_ = 0;
   std::uint64_t queue_high_water_ = 0;
   bool stop_requested_ = false;
-  bool auto_backend_ = false;  // still eligible to migrate
 
-  std::unique_ptr<EventQueue> queue_;
-  HeapQueue* fast_heap_ = nullptr;  // == queue_.get() iff the heap is active
+  HeapQueue queue_;
   std::vector<Slot> slots_;          // slab of event records
   std::vector<std::uint32_t> free_;  // recycled record slots
 };

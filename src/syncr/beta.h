@@ -117,8 +117,6 @@ struct BetaEnvironment {
   DriftModel drift = DriftModel::kNone;
   ProcessingModel processing = ProcessingModel::zero();
   double loss_probability = 0.0;
-  // Event-queue backend (pure perf knob; results are bit-identical).
-  EqueueBackend equeue = EqueueBackend::kAuto;
 };
 
 // Runs the app under the β-synchronizer (tree rooted at node 0). (Thin

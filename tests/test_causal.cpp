@@ -1,8 +1,8 @@
 // Tests for the happens-before reconstruction and critical-path profiler
 // (obs/causal.h): unit chain extraction and attribution on hand-built
 // traces, the exact attribution identity on real simulator trials, the
-// byte-stable golden rendering of a fixed-seed cell across event-queue
-// backends and trial-pool thread counts, and cross-runtime causal parity
+// byte-stable golden rendering of a fixed-seed cell across trial-pool
+// thread counts, and cross-runtime causal parity
 // (the same structural chain invariants hold on the thread substrate).
 #include <gtest/gtest.h>
 
@@ -181,32 +181,23 @@ TEST(CriticalPath, AttributionSumsToDecisionTimeOnSimulator) {
   }
 }
 
-TEST(CriticalPath, GoldenByteStableAcrossBackendsAndThreads) {
+TEST(CriticalPath, GoldenByteStableAcrossThreads) {
   // The serialized aggregate of a fixed-seed cell is the golden artifact:
-  // every equeue backend and every trial-pool width must produce the same
-  // bytes (same JSON number rendering, same Summary merge order).
-  const EqueueBackend backends[] = {EqueueBackend::kHeap,
-                                    EqueueBackend::kCalendar,
-                                    EqueueBackend::kLadder};
+  // every trial-pool width must produce the same bytes (same JSON number
+  // rendering, same Summary merge order).
   std::string golden;
-  for (const EqueueBackend backend : backends) {
-    for (const unsigned threads : {1u, 4u}) {
-      ScenarioSpec spec = ring_spec();
-      spec.equeue = backend;
-      const ScenarioAggregate agg =
-          run_scenario_trials(spec, /*trials=*/6, /*seed_base=*/1, threads);
-      EXPECT_EQ(agg.critical_path.found, 6u);
-      std::string json;
-      append_critical_path_json(agg.critical_path, &json);
-      if (golden.empty()) {
-        golden = json;
-        // The aggregate carries real content, not an all-zero skeleton.
-        EXPECT_NE(json.find("\"worst\""), std::string::npos) << json;
-      } else {
-        EXPECT_EQ(json, golden)
-            << "backend " << equeue_backend_name(backend) << " threads "
-            << threads;
-      }
+  for (const unsigned threads : {1u, 2u, 4u}) {
+    const ScenarioAggregate agg = run_scenario_trials(
+        ring_spec(), /*trials=*/6, /*seed_base=*/1, threads);
+    EXPECT_EQ(agg.critical_path.found, 6u);
+    std::string json;
+    append_critical_path_json(agg.critical_path, &json);
+    if (golden.empty()) {
+      golden = json;
+      // The aggregate carries real content, not an all-zero skeleton.
+      EXPECT_NE(json.find("\"worst\""), std::string::npos) << json;
+    } else {
+      EXPECT_EQ(json, golden) << "threads " << threads;
     }
   }
 }

@@ -3,6 +3,7 @@
 // channel orderings, activation policies, clock drift and processing delay.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -130,6 +131,11 @@ struct HarshCase {
   DriftModel drift;
   ProcessingModel processing;
 };
+
+// gtest's default printer dumps the raw bytes, including the address of
+// `name`, which moves with every link and under ASLR; the listed test names
+// would then change from build to build. Print the case name instead.
+void PrintTo(const HarshCase& c, std::ostream* os) { *os << c.name; }
 
 class ElectionHarshEnvironment : public ::testing::TestWithParam<HarshCase> {
 };

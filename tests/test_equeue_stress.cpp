@@ -1,13 +1,13 @@
-// Slow-label equeue stress: the differential contract at n ≈ 10^5 live
-// events with heavy-tailed Erlang/exponential delay mixes (the regime the
-// ladder queue exists for), plus the scenario-level acceptance check — a
-// registered scale-sweep torus cell at n = 10^4 whose aggregates must be
-// bit-identical across every backend and thread count.
+// Slow-label scheduler stress: the heap-vs-reference differential contract
+// at n ≈ 10^5 live events with heavy-tailed Erlang/exponential delay mixes,
+// plus the scenario-level check — a registered scale-sweep torus cell at
+// n = 10^4 whose aggregates must be bit-identical across thread counts.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <vector>
 
+#include "reference_scheduler.h"
 #include "scenario/scenario.h"
 #include "scenario/sweep.h"
 #include "sim/rng.h"
@@ -17,8 +17,7 @@ namespace abe {
 namespace {
 
 // Erlang(k) / exponential / Lomax-ish mixture: most mass near now() with a
-// genuinely heavy tail — the distribution shape that breaks single-width
-// calendars and that the ladder's recursive bucketing absorbs.
+// genuinely heavy tail, so the pending set spans many orders of magnitude.
 double heavy_mix_delay(Rng& rng) {
   const double r = rng.uniform01();
   if (r < 0.5) return rng.exponential(1.0);
@@ -33,13 +32,16 @@ double heavy_mix_delay(Rng& rng) {
 
 using Trace = std::vector<double>;
 
-Trace drive_hold(Scheduler& s, std::uint64_t seed, std::size_t live,
+// Classic hold model: `live` self-rescheduling events, run for `events`
+// pops. `Sched` is the Scheduler or the ReferenceScheduler.
+template <class Sched>
+Trace drive_hold(Sched& s, std::uint64_t seed, std::size_t live,
                  std::uint64_t events) {
   Trace times;
   times.reserve(events);
   Rng rng(seed);
   struct Hold {
-    Scheduler* s;
+    Sched* s;
     Rng* rng;
     Trace* times;
     void operator()() const {
@@ -54,27 +56,24 @@ Trace drive_hold(Scheduler& s, std::uint64_t seed, std::size_t live,
   return times;
 }
 
+// Both tests compare the scheduler's heap against the std::map reference.
 TEST(EqueueStress, HoldAt100kLiveBitIdenticalAcrossBackends) {
   constexpr std::size_t kLive = 100000;
   constexpr std::uint64_t kEvents = 400000;
-  Scheduler heap(EqueueBackend::kHeap);
-  const Trace reference = drive_hold(heap, 11, kLive, kEvents);
+  ReferenceScheduler oracle;
+  const Trace reference = drive_hold(oracle, 11, kLive, kEvents);
   ASSERT_EQ(reference.size(), kEvents);
-  for (EqueueBackend b : {EqueueBackend::kCalendar, EqueueBackend::kLadder,
-                          EqueueBackend::kAuto}) {
-    Scheduler other(b);
-    const Trace got = drive_hold(other, 11, kLive, kEvents);
-    ASSERT_EQ(got.size(), reference.size()) << equeue_backend_name(b);
-    EXPECT_TRUE(got == reference)
-        << equeue_backend_name(b) << ": pop times diverged";
-  }
+  Scheduler s;
+  const Trace got = drive_hold(s, 11, kLive, kEvents);
+  ASSERT_EQ(got.size(), reference.size());
+  EXPECT_TRUE(got == reference) << "pop times diverged from the reference";
 }
 
 // Cancel-heavy mix at scale: ARQ-style schedule/cancel churn layered over a
-// large pending set, driven identically across backends.
+// large pending set, driven identically through both implementations.
 TEST(EqueueStress, ChurnAt100kLiveBitIdenticalAcrossBackends) {
   constexpr std::size_t kLive = 100000;
-  const auto drive = [](Scheduler& s) {
+  const auto drive = [](auto& s) {
     Trace times;
     Rng rng(29);
     std::vector<EventId> timers;
@@ -103,47 +102,37 @@ TEST(EqueueStress, ChurnAt100kLiveBitIdenticalAcrossBackends) {
     s.run_until(s.now() + 5.0);
     return times;
   };
-  Scheduler heap(EqueueBackend::kHeap);
-  const Trace reference = drive(heap);
-  for (EqueueBackend b : {EqueueBackend::kCalendar, EqueueBackend::kLadder}) {
-    Scheduler other(b);
-    EXPECT_TRUE(drive(other) == reference) << equeue_backend_name(b);
-  }
+  ReferenceScheduler oracle;
+  const Trace reference = drive(oracle);
+  Scheduler s;
+  EXPECT_TRUE(drive(s) == reference);
 }
 
-// The ISSUE 4 acceptance cell: a registered scale-sweep torus cell at
-// n = 10^4, aggregates bit-identical across every backend AND every thread
-// count (the equeue axis composes with the seed-chunked trial pool).
-TEST(EqueueStress, ScaleSweepTorusCellBitIdenticalAcrossBackendsAndThreads) {
+// A registered scale-sweep torus cell at n = 10^4: aggregates bit-identical
+// across trial-pool widths (the seed-chunked pool's contract at the size
+// where the pending set is largest).
+TEST(EqueueStress, ScaleSweepTorusCellBitIdenticalAcrossThreads) {
   const ScenarioMatrix* scale = find_sweep("scale");
   ASSERT_NE(scale, nullptr);
   const std::vector<ScenarioSpec> cells = scale->expand();
-  // One cell per backend at n = 10000 (ids carry the eq- suffix).
   std::vector<const ScenarioSpec*> small;
   for (const ScenarioSpec& cell : cells) {
     if (cell.topology.n == 10000) small.push_back(&cell);
   }
-  ASSERT_EQ(small.size(), 3u) << "heap, calendar and ladder cells";
+  ASSERT_EQ(small.size(), 1u) << "one scale cell per n";
+  const ScenarioSpec& cell = *small[0];
 
   constexpr std::uint64_t kTrials = 2;
   const ScenarioAggregate reference =
-      run_scenario_trials(*small[0], kTrials, /*seed_base=*/1, /*threads=*/1);
+      run_scenario_trials(cell, kTrials, /*seed_base=*/1, /*threads=*/1);
   EXPECT_EQ(reference.trials, kTrials);
   EXPECT_EQ(reference.failures, 0u);
   EXPECT_EQ(reference.safety_violations, 0u);
-  for (const ScenarioSpec* cell : small) {
-    for (unsigned threads : {1u, 3u}) {
-      if (cell == small[0] && threads == 1u) continue;
-      const ScenarioAggregate agg =
-          run_scenario_trials(*cell, kTrials, 1, threads);
-      EXPECT_TRUE(agg.messages == reference.messages)
-          << cell->cell_id() << " threads=" << threads;
-      EXPECT_TRUE(agg.time == reference.time)
-          << cell->cell_id() << " threads=" << threads;
-      EXPECT_EQ(agg.failures, reference.failures);
-      EXPECT_EQ(agg.safety_violations, reference.safety_violations);
-    }
-  }
+  const ScenarioAggregate agg = run_scenario_trials(cell, kTrials, 1, 3);
+  EXPECT_TRUE(agg.messages == reference.messages) << cell.cell_id();
+  EXPECT_TRUE(agg.time == reference.time) << cell.cell_id();
+  EXPECT_EQ(agg.failures, reference.failures);
+  EXPECT_EQ(agg.safety_violations, reference.safety_violations);
 }
 
 }  // namespace

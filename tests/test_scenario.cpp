@@ -216,11 +216,6 @@ TEST(RuntimeAxis, ProblemsAreStructuralAndNamedWithoutAborting) {
       << "wall clocks cannot wander piecewise";
   spec.drift = DriftModel::kNone;
 
-  spec.equeue = EqueueBackend::kLadder;
-  EXPECT_NE(runtime_cell_problem(spec), "")
-      << "the event queue is a simulator knob";
-  spec.equeue = EqueueBackend::kAuto;
-
   spec.topology.n = kMaxThreadRuntimeNodes + 1;
   EXPECT_NE(runtime_cell_problem(spec), "")
       << "one OS thread per node has a budget";
@@ -470,13 +465,13 @@ TEST(ScenarioSweep, JsonCarriesSchemaMetadataAndCells) {
   std::ostringstream os;
   write_sweep_json(os, meta, outcomes);
   const std::string json = os.str();
-  EXPECT_NE(json.find("\"schema\": \"abe-scenario-sweep-v7\""),
+  EXPECT_NE(json.find("\"schema\": \"abe-scenario-sweep-v8\""),
             std::string::npos);
   EXPECT_NE(json.find("\"git_sha\": \"cafe123\""), std::string::npos);
   EXPECT_NE(json.find("\"trial_threads\": 4"), std::string::npos);
   EXPECT_NE(json.find("\"cell\": \"polling/torus-9/exponential/ideal/none\""),
             std::string::npos);
-  EXPECT_NE(json.find("\"equeue\": \"auto\""), std::string::npos);
+  EXPECT_EQ(json.find("\"equeue\""), std::string::npos);
   EXPECT_NE(json.find("\"runtime\": \"sim\""), std::string::npos);
   EXPECT_NE(json.find("\"stalled\": 0"), std::string::npos);
   EXPECT_NE(json.find("\"behavior\": \"honest\""), std::string::npos);

@@ -2,9 +2,9 @@
 """abe_lint — project-specific determinism and discipline checks.
 
 The ABE reproduction's core claim is that seeded simulator aggregates are
-bit-identical across schedulers, event-queue backends, thread counts and
-refactors. clang-tidy cannot see the project-level invariants that keep
-that true, so this linter enforces them:
+bit-identical across thread counts and refactors. clang-tidy cannot see
+the project-level invariants that keep that true, so this linter enforces
+them:
 
   wall-clock      No wall-clock or libc randomness in library code: the
                   only time is SimTime, the only randomness is the seeded
@@ -18,8 +18,7 @@ that true, so this linter enforces them:
                   dependent, so folding it into an aggregate silently
                   breaks bit-identity.
   env-read        No ABE_* environment reads outside the sanctioned
-                  config-plumbing sites (ABE_EQUEUE in
-                  sim/equeue/backend.cpp, ABE_TRIAL_THREADS in
+                  config-plumbing site (ABE_TRIAL_THREADS in
                   core/trial_pool.cpp): scattered env reads make a run's
                   configuration unreproducible from its provenance block.
   inline-capture  Closures handed to Scheduler::schedule_at/schedule_in
@@ -70,8 +69,8 @@ Exit codes: 0 clean, 1 findings, 2 infrastructure error.
 Heuristic limits (by design — this is a grep-power linter, not a parser):
 type aliases that rename a forbidden clock and iteration through an
 unordered container hidden behind a function call are not caught; the
-sanitizer matrix and the cross-backend differential tests are the
-backstop for those.
+sanitizer matrix and the scheduler differential tests are the backstop
+for those.
 """
 
 import argparse
@@ -119,7 +118,6 @@ RANGE_FOR_RE = re.compile(
 
 ENV_READ_RE = re.compile(r"\bgetenv\s*\(\s*\"ABE_\w*\"")
 ENV_READ_ALLOWED_FILES = {
-    "src/sim/equeue/backend.cpp",   # ABE_EQUEUE backend override
     "src/core/trial_pool.cpp",      # ABE_TRIAL_THREADS worker count
 }
 
