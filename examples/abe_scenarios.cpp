@@ -521,9 +521,10 @@ int cmd_replay(const std::string& name, const abe::CliFlags& flags) {
               static_cast<unsigned long long>(outcome.messages));
   std::printf("time:      %.6g\n", outcome.time);
 
-  // A stalled run at a large deadline can tick for millions of events after
-  // the interesting part is over; elide the middle rather than flood the
-  // terminal. Violating runs complete early and print in full.
+  // A long run (a large deadline, or a trial that keeps working after the
+  // interesting part is over) can record millions of events; elide the
+  // middle rather than flood the terminal. Violating runs complete early
+  // and print in full.
   constexpr std::size_t kHeadLines = 2000;
   constexpr std::size_t kTailLines = 200;
   std::size_t lines = 0;

@@ -24,6 +24,12 @@ void AnnouncingElectionNode::on_tick(Context& ctx, std::uint64_t tick) {
   }
 }
 
+std::uint64_t AnnouncingElectionNode::next_tick_of_interest(
+    Context& ctx, std::uint64_t after) {
+  if (done_) return kNoTick;
+  return inner_.next_tick_of_interest(ctx, after);
+}
+
 void AnnouncingElectionNode::on_message(Context& ctx,
                                         std::size_t in_index,
                                         const Payload& payload) {

@@ -48,6 +48,9 @@ class AnnouncingElectionNode final : public Node {
 
   void on_start(Context& ctx) override;
   void on_tick(Context& ctx, std::uint64_t tick) override;
+  // Forwards to the inner election node, so announcing rings tick sparsely.
+  std::uint64_t next_tick_of_interest(Context& ctx,
+                                      std::uint64_t after) override;
   void on_message(Context& ctx, std::size_t in_index,
                   const Payload& payload) override;
 

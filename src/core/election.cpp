@@ -54,11 +54,35 @@ void ElectionNode::set_state(Context& ctx, ElectionState next) {
   }
 }
 
-void ElectionNode::on_tick(Context& ctx, std::uint64_t /*tick*/) {
+double ElectionNode::activation_probability() const {
+  return activation_probability_for(options_.policy, options_.a0, d_);
+}
+
+std::uint64_t ElectionNode::next_tick_of_interest(Context& ctx,
+                                                  std::uint64_t after) {
+  if (state_ != ElectionState::kIdle) return kNoTick;
+  // Coins already drawn past `after`: the last one is the winner or the
+  // checkpoint, and every earlier one lost.
+  if (coins_through_ > after) return coins_through_;
+  const double p = activation_probability();
+  Rng& rng = ctx.rng();
+  const std::uint64_t last = after + kCoinWindow;
+  for (coins_through_ = after + 1;; ++coins_through_) {
+    last_coin_won_ = rng.bernoulli(p);
+    if (last_coin_won_ || coins_through_ == last) break;
+  }
+  return coins_through_;
+}
+
+void ElectionNode::on_tick(Context& ctx, std::uint64_t tick) {
   if (state_ != ElectionState::kIdle) return;
-  const double p =
-      activation_probability_for(options_.policy, options_.a0, d_);
-  if (!ctx.rng().bernoulli(p)) return;
+  // Dense delivery draws the coin now; a coin drawn ahead is only read.
+  if (tick > coins_through_) {
+    coins_through_ = tick;
+    last_coin_won_ = ctx.rng().bernoulli(activation_probability());
+  }
+  const bool won = tick == coins_through_ && last_coin_won_;
+  if (!won) return;
 
   ++activations_;
   // Degenerate ring of one node: our own message would traverse zero

@@ -101,6 +101,14 @@ class ElectionNode final : public Node {
 
   void on_start(Context& ctx) override;
   void on_tick(Context& ctx, std::uint64_t tick) override;
+  // Sparse ticks: only an idle node can act on a tick, and while idle its
+  // activation probability is constant (any receipt makes it passive). So
+  // it draws the coins of the following ticks from ctx.rng() in tick order
+  // — the very values dense delivery would draw — up to kCoinWindow of
+  // them, and returns the first winning tick, or the last drawn one as a
+  // no-op checkpoint. Non-idle nodes return kNoTick.
+  std::uint64_t next_tick_of_interest(Context& ctx,
+                                      std::uint64_t after) override;
   void on_message(Context& ctx, std::size_t in_index,
                   const Payload& payload) override;
 
@@ -125,6 +133,13 @@ class ElectionNode final : public Node {
 
  private:
   void set_state(Context& ctx, ElectionState next);
+  // 1 − (1−A0)^d under the paper's policy; constant while idle.
+  double activation_probability() const;
+
+  // Most coins drawn ahead per next_tick_of_interest call. Bounds the work
+  // wasted when a message knocks the node out mid-window, and how far ahead
+  // a piecewise-drift clock gets extended to place the checkpoint tick.
+  static constexpr std::uint64_t kCoinWindow = 256;
 
   ElectionOptions options_;
   ElectionState state_ = ElectionState::kIdle;
@@ -133,6 +148,10 @@ class ElectionNode final : public Node {
   std::uint64_t purges_ = 0;
   std::uint64_t forwards_ = 0;
   std::uint64_t overflow_drops_ = 0;
+  // Activation coins are drawn in tick order through tick coins_through_;
+  // last_coin_won_ is that tick's coin. Coins of earlier ticks are spent.
+  std::uint64_t coins_through_ = 0;
+  bool last_coin_won_ = false;
 };
 
 }  // namespace abe

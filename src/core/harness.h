@@ -68,7 +68,10 @@ struct ElectionRunResult {
   SimTime election_time = 0.0;     // real time at which the leader appeared
   std::uint64_t messages = 0;      // messages sent up to the election moment
   std::uint64_t messages_total = 0;  // including the settle window
-  std::uint64_t ticks = 0;         // clock ticks fired up to the election
+  // Tick EVENTS the runtime fired up to the election (net.ticks), a cost
+  // counter: the simulator fires only the ticks a node can act on, so this
+  // is far below the number of local ticks that elapsed.
+  std::uint64_t ticks = 0;
   std::uint64_t activations = 0;   // activations summed over nodes
   std::uint64_t purges = 0;        // knockout purges summed over nodes
   std::uint64_t max_leaders_ever = 0;  // safety: must never exceed 1
@@ -94,7 +97,7 @@ std::unique_ptr<AlgorithmDriver> make_ring_election_driver(
 struct ElectionAggregate {
   Summary messages;      // per-trial messages until election
   Summary time;          // per-trial election_time
-  Summary ticks;
+  Summary ticks;         // per-trial tick events fired (see ElectionRunResult)
   Summary activations;
   Summary purges;
   std::uint64_t trials = 0;

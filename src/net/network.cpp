@@ -1,6 +1,7 @@
 #include "net/network.h"
 
 #include <algorithm>
+#include <cmath>
 #include <sstream>
 #include <utility>
 
@@ -135,6 +136,12 @@ Network::Network(NetworkConfig config)
                                                  /*below=*/3, /*above=*/6));
   }
   slots_.resize(n);
+  if (config_.processing.kind != ProcessingModel::Kind::kZero) {
+    processing_rngs_.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      processing_rngs_.push_back(root_rng_.substream("processing", i));
+    }
+  }
   for (std::size_t i = 0; i < n; ++i) {
     slots_[i].rng = root_rng_.substream("node", i);
     slots_[i].clock = std::make_unique<LocalClock>(
@@ -198,22 +205,51 @@ void Network::start() {
     });
     if (config_.enable_ticks) {
       slots_[i].ticking = true;
-      schedule_next_tick(i);
+      arm_tick(i, 0);
     }
   }
 }
 
-void Network::schedule_next_tick(std::size_t node_index) {
+std::uint64_t Network::ticks_elapsed(std::size_t node_index) {
   NodeSlot& slot = slots_[node_index];
-  const double next_local =
-      slot.tick_phase +
-      static_cast<double>(slot.ticks + 1) * config_.tick_local_period;
-  const SimTime fire = slot.clock->real_at(next_local);
-  // The causing event: the tick (or start()) that scheduled this fire.
+  const double period = config_.tick_local_period;
+  // Tick k is due at real_at(phase + k·period), the very expression the
+  // train schedules with, so the floor estimate is corrected against it.
+  const auto due = [&](std::uint64_t k) {
+    return slot.clock->real_at(slot.tick_phase +
+                               static_cast<double>(k) * period);
+  };
+  const double estimate =
+      std::floor((slot.clock->local_at(now()) - slot.tick_phase) / period);
+  std::uint64_t k =
+      estimate > 0.0 ? static_cast<std::uint64_t>(estimate) : 0;
+  while (due(k + 1) <= now()) ++k;
+  while (k > 0 && due(k) > now()) --k;
+  // A pending tick due exactly now has not fired yet: it pops after us.
+  if (slot.pending_tick != 0) k = std::min(k, slot.pending_tick - 1);
+  return k;
+}
+
+void Network::arm_tick(std::size_t node_index, std::uint64_t after) {
+  NodeSlot& slot = slots_[node_index];
+  const std::uint64_t next =
+      slot.node->next_tick_of_interest(*slot.context, after);
+  if (next == slot.pending_tick) return;
+  if (slot.pending_tick != 0) {
+    scheduler_.cancel(slot.tick_event);
+    slot.pending_tick = 0;
+  }
+  if (next == Node::kNoTick) return;
+  ABE_CHECK_GT(next, after) << "next_tick_of_interest must move forward";
+  const SimTime fire = slot.clock->real_at(
+      slot.tick_phase + static_cast<double>(next) * config_.tick_local_period);
+  // The causing event: the tick, delivery (or start()) that armed this fire.
   const std::int64_t cause = current_cause_;
-  scheduler_.schedule_at(fire, [this, node_index, cause] {
+  slot.pending_tick = next;
+  slot.tick_event = scheduler_.schedule_at(fire, [this, node_index, cause] {
     NodeSlot& s = slots_[node_index];
-    ++s.ticks;
+    s.ticks = s.pending_tick;
+    s.pending_tick = 0;
     ++metrics_.ticks_fired;
     current_cause_ = trace_.record(now(), TraceKind::kTick,
                                    NodeId{static_cast<std::int64_t>(node_index)},
@@ -223,7 +259,7 @@ void Network::schedule_next_tick(std::size_t node_index) {
     if (s.node->is_terminated()) {
       s.ticking = false;  // terminal nodes stop consuming tick events
     } else {
-      schedule_next_tick(node_index);
+      arm_tick(node_index, s.ticks);
     }
   });
 }
@@ -361,6 +397,8 @@ void Network::deliver(std::size_t edge_index,
                                      send_id, channel_delay, work);
     }
     s.node->on_message(*s.context, in_index_of_edge_[edge_index], *payload);
+    // A message may wake (or silence) the node's tick interest.
+    if (s.ticking) arm_tick(to, ticks_elapsed(to));
   };
 
   if (config_.processing.kind == ProcessingModel::Kind::kZero) {
@@ -369,7 +407,7 @@ void Network::deliver(std::size_t edge_index,
   }
   // Definition 1(3): handling occupies the node; queue behind earlier work.
   const SimTime start = std::max(now(), slot.busy_until);
-  const double ptime = config_.processing.sample(slot.rng);
+  const double ptime = config_.processing.sample(processing_rngs_[to]);
   const SimTime finish = start + ptime;
   slot.busy_until = finish;
   if (finish <= now()) {
@@ -418,7 +456,7 @@ void Network::run_until_quiescent(SimTime deadline) {
   ABE_CHECK(started_);
   if (deadline == kTimeInfinity) {
     ABE_CHECK(!config_.enable_ticks)
-        << "tick generation never quiesces; pass a finite deadline";
+        << "a dense tick train never quiesces; pass a finite deadline";
     scheduler_.run();
   } else {
     scheduler_.run_until(deadline);

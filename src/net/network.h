@@ -75,9 +75,15 @@ struct NetworkConfig {
   double clock_segment_mean = 10.0;
   // Processing model (Definition 1(3)).
   ProcessingModel processing = ProcessingModel::zero();
-  // Tick generation: when enabled, Node::on_tick fires once per
-  // `tick_local_period` of the node's local clock, at local times
-  // phase + k·tick_local_period.
+  // Tick generation: when enabled, each node has a train of local ticks,
+  // tick k due at local time phase + k·tick_local_period. The simulator
+  // keeps at most one pending tick event per node and fires only the ticks
+  // the node asks for (Node::next_tick_of_interest); nodes that do not
+  // override that hook get every tick. A node's train stops once it
+  // reports is_terminated() after a tick. A skipped tick due at the very
+  // instant a message reaches its node counts as elapsed; only such exact
+  // ties (kAligned phases with lattice delays) can make sparse delivery
+  // differ from dense delivery.
   bool enable_ticks = false;
   double tick_local_period = 1.0;
   // Nodes in an asynchronous network share no time origin, so by default
@@ -160,8 +166,9 @@ class Network {
   bool run_until(const std::function<bool()>& pred,
                  SimTime deadline = kTimeInfinity);
 
-  // Runs until no events remain or `deadline` passes. With ticks enabled the
-  // queue never drains, so a finite deadline is required then.
+  // Runs until no events remain or `deadline` passes. With ticks enabled a
+  // node on the dense train keeps the queue from ever draining, so a finite
+  // deadline is required then.
   void run_until_quiescent(SimTime deadline = kTimeInfinity);
 
   // --- introspection ----------------------------------------------------
@@ -210,7 +217,9 @@ class Network {
     std::unique_ptr<LocalClock> clock;
     Rng rng;
     SimTime busy_until = 0.0;
-    std::uint64_t ticks = 0;
+    std::uint64_t ticks = 0;         // number of the last fired tick
+    std::uint64_t pending_tick = 0;  // tick of tick_event; 0 when none
+    EventId tick_event;
     double tick_phase = 0.0;  // local-time offset of the tick train
     bool ticking = false;
   };
@@ -219,7 +228,12 @@ class Network {
                  PayloadPtr payload);
   void deliver(std::size_t edge_index, std::shared_ptr<const Payload> payload,
                SimTime sent_at, std::int64_t send_id);
-  void schedule_next_tick(std::size_t node_index);
+  // Local ticks of node `node_index` due at or before now(), exactly as the
+  // dense train would have fired them (a pending tick due at now() has not).
+  std::uint64_t ticks_elapsed(std::size_t node_index);
+  // Asks the node for its next tick of interest after local tick `after`
+  // and moves its pending tick event there, if the answer changed.
+  void arm_tick(std::size_t node_index, std::uint64_t after);
   void sample_timeseries();
   TimerId set_timer(std::size_t node_index, double local_delay,
                     std::uint64_t tag);
@@ -239,6 +253,10 @@ class Network {
   std::vector<std::uint64_t> delivered_by_channel_;
   std::vector<std::uint64_t> dropped_by_channel_;
   std::vector<NodeSlot> slots_;
+  // Per-node processing-time streams (Definition 1(3)); empty when the
+  // processing model is zero. Kept apart from the node streams so a node
+  // drawing its coins ahead cannot shift the processing times.
+  std::vector<Rng> processing_rngs_;
   std::vector<ChannelState> channels_;
   std::vector<std::vector<std::size_t>> out_channels_;  // node -> edge indices
   std::vector<std::vector<std::size_t>> in_channels_;

@@ -73,8 +73,22 @@ class Node {
                           const Payload& payload) = 0;
 
   // Local-clock tick number `tick` (ticks are enabled per-network; the ABE
-  // election acts on these).
+  // election acts on these). Tick k is due at local time phase + k·period.
+  // A runtime may skip every tick that next_tick_of_interest() rules out,
+  // so `tick` can jump ahead; on_tick must behave the same whether or not
+  // the skipped ticks are delivered.
   virtual void on_tick(Context&, std::uint64_t /*tick*/) {}
+
+  // Sparse-tick hook: the first local tick after `after` whose on_tick may
+  // act, or kNoTick when no tick can act until the next message arrives.
+  // The simulator asks at start(), after each fired tick and after each
+  // on_message, and delivers only the answer; ticks before it are skipped.
+  // The default, after + 1, asks for every tick (dense delivery), so a node
+  // or decorator that does not override this sees the full tick train.
+  static constexpr std::uint64_t kNoTick = ~std::uint64_t{0};
+  virtual std::uint64_t next_tick_of_interest(Context&, std::uint64_t after) {
+    return after + 1;
+  }
 
   // A timer set via Context::set_timer_local fired.
   virtual void on_timer(Context&, TimerId, std::uint64_t /*tag*/) {}

@@ -592,9 +592,10 @@ std::vector<ScenarioSpec> build_registry() {
         ScenarioAlgorithm::kRingElection,
         TopologySpec{TopologyFamily::kRingUni, 16, 0.0});
     s.failure = FailureProfile::loss(0.005);
-    // Loss opens a deadlock corner (every node passive, every token lost),
-    // so stuck trials must fail fast: elections normally finish by t ≈ 50,
-    // and a deadline in the 1e7 default would burn ~1e8 tick events.
+    // Loss opens a deadlock corner (every node passive, every token lost).
+    // On the simulator such a trial has no tick left to fire and ends when
+    // its queue drains; on threads a stuck trial still ticks, so it must
+    // fail fast: elections normally finish by t ≈ 50.
     s.deadline = 2e4;
     reg.push_back(std::move(s));
   }
@@ -734,7 +735,8 @@ std::vector<ScenarioMatrix> build_sweeps() {
     m.failures = {FailureProfile::none(), FailureProfile::loss(0.005),
                   FailureProfile::degrade(0.1, 20.0)};
     // Same fail-fast deadline as the ring-lossy scenario: lossy cells can
-    // deadlock, and a stuck ring trial ticks until the deadline.
+    // deadlock, and a lossy trial still working at the deadline (or a stuck
+    // one on a dense-tick runtime) should give up early.
     m.base.deadline = 2e4;
     sweeps.push_back(std::move(m));
   }

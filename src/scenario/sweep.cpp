@@ -285,8 +285,18 @@ std::string render_metrics_report(
        << agg.wall.total_ms << " ms\n";
     if (agg.metrics.empty()) {
       os << "(no metrics harvested)\n";
-    } else {
-      os << agg.metrics.render();
+      continue;
+    }
+    os << agg.metrics.render();
+    // Where the events went (simulator cells only: sched.* is theirs).
+    if (agg.metrics.find("sched.popped") != nullptr) {
+      const double popped = agg.metrics.value_of("sched.popped");
+      const double sent = agg.metrics.value_of("net.sent");
+      const double ticks = agg.metrics.value_of("net.ticks");
+      os << "cost: " << static_cast<std::uint64_t>(popped)
+         << " events popped, "
+         << (sent > 0.0 ? popped / sent : 0.0) << " events/message, tick share "
+         << (popped > 0.0 ? ticks / popped : 0.0) << "\n";
     }
   }
   return os.str();

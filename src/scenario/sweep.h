@@ -141,7 +141,9 @@ void append_critical_path_json(const CriticalPathAggregate& aggregate,
 std::string render_sweep_table(const std::vector<SweepCellOutcome>& outcomes);
 
 // Per-cell metrics report: one block per cell with its merged metrics
-// table and summed wall-phase times (`abe_scenarios report`).
+// table and summed wall-phase times (`abe_scenarios report`), closed on
+// simulator cells by a derived cost line: events popped, events per
+// message sent, and the share of events that were ticks.
 std::string render_metrics_report(
     const std::vector<SweepCellOutcome>& outcomes);
 

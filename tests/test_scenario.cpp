@@ -452,6 +452,22 @@ TEST(ScenarioSweep, RandomTopologiesRedrawPerTrialDeterministically) {
   EXPECT_TRUE(a.messages != c.messages || a.time != c.time);
 }
 
+TEST(ScenarioSweep, MetricsReportEndsSimCellsWithCostLine) {
+  const ScenarioSpec* ring = find_scenario("ring-election");
+  ASSERT_NE(ring, nullptr);
+  const auto outcomes = run_sweep({*ring}, 2, 1, 1);
+  ASSERT_EQ(outcomes.size(), 1u);
+  const MetricsSnapshot& m = outcomes[0].aggregate.metrics;
+  const auto popped = static_cast<std::uint64_t>(m.value_of("sched.popped"));
+  ASSERT_GT(popped, 0u);
+  const std::string report = render_metrics_report(outcomes);
+  EXPECT_NE(report.find("cost: " + std::to_string(popped) +
+                        " events popped, "),
+            std::string::npos)
+      << report;
+  EXPECT_NE(report.find(" events/message, tick share "), std::string::npos);
+}
+
 TEST(ScenarioSweep, JsonCarriesSchemaMetadataAndCells) {
   const auto outcomes = run_sweep({small_polling_cell()}, 3, 1, 1);
   ASSERT_EQ(outcomes.size(), 1u);
