@@ -457,7 +457,7 @@ void UdpNetwork::reader_main(std::size_t index) {
   UdpWire wire;
   while (!stop_readers_.load(std::memory_order_acquire)) {
     const int got = slot.socket->receive(&wire, sizeof(wire));
-    if (got == 0) continue;  // poll interval elapsed; re-check stop flag
+    if (got == 0) continue;  // read side shut or poll timeout; re-check flag
     if (got < 0) return;     // unrecoverable socket error (shutdown)
     if (static_cast<std::size_t>(got) != sizeof(UdpWire) ||
         wire.magic != UdpWire::kMagic) {
@@ -696,10 +696,14 @@ bool UdpNetwork::wait_quiescent(std::chrono::milliseconds timeout) {
 
 void UdpNetwork::stop() {
   if (!started_.load() || stopped_.exchange(true)) return;
-  // Readers first so no new mailbox items appear while dispatchers drain;
-  // they exit within one poll interval. Closed mailboxes then unblock the
+  // Readers first so no new mailbox items appear while dispatchers drain:
+  // shutting each socket's read side wakes a reader blocked in receive()
+  // at once, and it exits on the flag. Closed mailboxes then unblock the
   // dispatchers.
   stop_readers_.store(true, std::memory_order_release);
+  for (auto& slot : slots_) {
+    slot.socket->shutdown_read();
+  }
   for (auto& slot : slots_) {
     slot.mailbox->close();
   }

@@ -14,12 +14,14 @@
 //
 // Per node: one UdpSocket (runtime/udp_socket.h — the only raw-socket
 // site) plus two threads. The READER blocks in receive(), translates wire
-// headers into mailbox items and answers ACKs; the DISPATCHER pops the
-// node's Mailbox in due-time order and drives the algorithm exactly like
-// ThreadNetwork::thread_main — same Node/Context interface, same causal
-// trace links (the SEND record id rides the datagram so the DELIVER links
-// back), same net.* counters, so AlgorithmDrivers, `abe_scenarios trace`
-// and critical-path extraction work on real packets unchanged.
+// headers into mailbox items and answers ACKs; stop() wakes it by shutting
+// the socket's read side, so teardown costs thread joins, not a poll
+// interval. The DISPATCHER pops the node's Mailbox in due-time order and
+// drives the algorithm exactly like ThreadNetwork::thread_main — same
+// Node/Context interface, same causal trace links (the SEND record id rides
+// the datagram so the DELIVER links back), same net.* counters, so
+// AlgorithmDrivers, `abe_scenarios trace` and critical-path extraction work
+// on real packets unchanged.
 //
 // Payloads are polymorphic C++ objects with no wire format (net/message.h),
 // and every node lives in this process — so datagrams carry a fixed header
@@ -118,8 +120,8 @@ class UdpNetwork {
                   std::chrono::milliseconds timeout) EXCLUDES(progress_mutex_);
   bool wait_quiescent(std::chrono::milliseconds timeout);
 
-  // Closes mailboxes, raises the reader stop flag, joins all threads.
-  // Idempotent; also runs on destruction.
+  // Raises the reader stop flag, shuts each socket's read side, closes
+  // mailboxes, joins all threads. Idempotent; also runs on destruction.
   void stop();
 
   std::size_t size() const { return config_.topology.n; }

@@ -17,8 +17,9 @@ UdpSocket::UdpSocket() {
   ABE_CHECK_GE(fd_, 0) << "socket(AF_INET, SOCK_DGRAM): "
                        << std::strerror(errno);
 
-  // Poll-interval receive timeout: the reader loop's stop-flag check rides
-  // on this, so shutdown never depends on a wakeup datagram arriving.
+  // Poll-interval receive timeout: bounds a direct receive() waiting on a
+  // lost datagram. Runtime shutdown goes through shutdown_read() instead,
+  // and falls back to this interval on a kernel that does not wake readers.
   timeval tv{};
   tv.tv_sec = kPollIntervalMs / 1000;
   tv.tv_usec = (kPollIntervalMs % 1000) * 1000;
@@ -76,6 +77,14 @@ int UdpSocket::receive(void* buffer, std::size_t capacity) const {
   // idle outcomes; anything else is a real socket failure.
   if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) return 0;
   return -1;
+}
+
+void UdpSocket::shutdown_read() const {
+  // Linux sets RCV_SHUTDOWN and wakes sleepers even on an unconnected
+  // datagram socket, but reports ENOTCONN for it.
+  const int rc = ::shutdown(fd_, SHUT_RD);
+  ABE_CHECK(rc == 0 || errno == ENOTCONN)
+      << "shutdown(SHUT_RD): " << std::strerror(errno);
 }
 
 }  // namespace abe

@@ -5,10 +5,12 @@
 //
 // Scope is deliberately narrow: IPv4 loopback only, ephemeral ports,
 // datagrams up to a small fixed header size (runtime/udp_runtime.cpp keeps
-// payload objects in-process and ships headers only). receive() polls with
-// a short kernel timeout (SO_RCVTIMEO) instead of blocking forever, so a
-// reader thread can observe a stop flag without needing self-addressed
-// wakeup datagrams — shutdown is then loss-proof by construction.
+// payload objects in-process and ships headers only). The runtime stops its
+// reader threads with shutdown_read(), which wakes a blocked receive() at
+// once and makes every later call return at once, so shutdown needs no
+// self-addressed wakeup datagram and is loss-proof by construction.
+// receive() also carries a short kernel timeout (SO_RCVTIMEO), which bounds
+// direct callers that wait on a datagram that may have been lost.
 //
 // Thread-safety: send_to() and receive() are safe to call concurrently
 // from different threads (POSIX datagram sockets serialise per call); the
@@ -22,9 +24,9 @@ namespace abe {
 
 class UdpSocket {
  public:
-  // Milliseconds receive() blocks before returning 0 (poll interval for
-  // stop-flag checks). Small enough that runtime shutdown is prompt, large
-  // enough that an idle reader costs ~50 wakeups/s.
+  // Milliseconds receive() blocks before returning 0. Runtime shutdown does
+  // not wait on it (see shutdown_read()); it bounds direct callers waiting
+  // on a datagram that may be lost, and an idle reader costs ~50 wakeups/s.
   static constexpr int kPollIntervalMs = 20;
 
   // Opens an IPv4 datagram socket and binds it to 127.0.0.1 with an
@@ -48,6 +50,11 @@ class UdpSocket {
   // -1 on an unrecoverable socket error. Datagrams larger than `capacity`
   // are truncated by the kernel; callers size buffers to the wire header.
   int receive(void* buffer, std::size_t capacity) const;
+
+  // Shuts the read side: a receive() blocked on this socket returns 0 at
+  // once, and so does every later call that finds nothing queued. Safe to
+  // call from another thread while a reader is blocked.
+  void shutdown_read() const;
 
  private:
   int fd_ = -1;

@@ -1,14 +1,17 @@
 // Tests for the real-socket runtime (runtime/udp_runtime.h): the UdpSocket
-// wrapper, datagram elections through the scenario driver stack, the ARQ
-// reliable layer under injected per-attempt loss (exactly-once delivery),
-// the measured-transit histogram, and the measured-delay -> DelayModel
-// calibration path.
+// wrapper and its read-side shutdown, datagram elections through the
+// scenario driver stack, prompt runtime stop, the ARQ reliable layer under
+// injected per-attempt loss (exactly-once delivery), the measured-transit
+// histogram, and the measured-delay -> DelayModel calibration path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <memory>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "net/delay.h"
 #include "net/message.h"
@@ -57,6 +60,33 @@ TEST(UdpSocket, ReceiveOnEmptySocketReturnsZeroPromptly) {
   EXPECT_LT(waited.count(), 10 * UdpSocket::kPollIntervalMs);
 }
 
+TEST(UdpSocket, ShutdownReadWakesBlockedReceive) {
+  UdpSocket idle;
+  int got = -2;
+  std::thread reader([&] {
+    char buffer[8];
+    got = idle.receive(buffer, sizeof(buffer));
+  });
+  // Let the reader park in recvfrom before its read side is shut.
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  idle.shutdown_read();
+  reader.join();
+  EXPECT_EQ(got, 0);
+
+  // The shut state is sticky: every later receive() returns at once
+  // instead of waiting out its poll interval.
+  constexpr int kCalls = 20;
+  char buffer[8];
+  const auto start = std::chrono::steady_clock::now();
+  for (int i = 0; i < kCalls; ++i) {
+    ASSERT_EQ(idle.receive(buffer, sizeof(buffer)), 0);
+  }
+  const auto waited = std::chrono::duration_cast<std::chrono::milliseconds>(
+      std::chrono::steady_clock::now() - start);
+  EXPECT_LT(waited.count(), 2 * UdpSocket::kPollIntervalMs)
+      << kCalls << " receive() calls after shutdown_read()";
+}
+
 // ---------------------------------------------------------------------
 // End-to-end elections over real datagrams (scenario driver stack)
 
@@ -90,6 +120,51 @@ TEST(UdpNet, LossyCellCompletesUnderArq) {
   ASSERT_TRUE(trial.completed)
       << "ARQ must mask 10% per-attempt loss on loopback";
   EXPECT_TRUE(trial.safety_ok) << trial.safety_detail;
+}
+
+// stop() wakes the readers by shutting their sockets' read side, so
+// teardown costs thread joins, not a poll interval per reader.
+TEST(UdpNet, StopDoesNotWaitOutThePollInterval) {
+  const ScenarioSpec* preset = find_scenario("polling-ring");
+  ASSERT_NE(preset, nullptr);
+  ScenarioSpec spec = *preset;
+  spec.topology.n = 4;
+  spec.runtime = RuntimeKind::kUdp;
+  spec.udp_reliable = true;
+  ASSERT_EQ(runtime_cell_problem(spec), "");
+
+  constexpr std::uint64_t kTrials = 10;
+  std::vector<double> stop_ms;
+  for (std::uint64_t seed = 1; seed <= kTrials; ++seed) {
+    Rng topology_rng = Rng(seed).substream("scenario-topology");
+    const Topology topology = spec.topology.build(topology_rng);
+    ScenarioTrialDriver binding = make_scenario_driver(spec, topology, seed);
+    RuntimeConfig config = scenario_runtime_config(spec, topology, seed);
+    AlgorithmDriver& driver = *binding.driver;
+    driver.configure(config);
+    const SimTime deadline = config.deadline;
+    std::unique_ptr<Runtime> rt = make_runtime(spec.runtime, std::move(config));
+    rt->build_nodes([&](std::size_t i) { return driver.make_node(i); });
+    rt->start();
+    const bool completed =
+        rt->run_until_done([&] { return driver.done(*rt); }, deadline);
+    if (completed) driver.on_complete(*rt);
+    driver.settle(*rt, completed);
+    const auto start = std::chrono::steady_clock::now();
+    rt->stop();
+    stop_ms.push_back(std::chrono::duration<double, std::milli>(
+                          std::chrono::steady_clock::now() - start)
+                          .count());
+    const TrialOutcome outcome =
+        binding.project(driver.extract(*rt, completed));
+    EXPECT_TRUE(outcome.completed) << "seed " << seed;
+    EXPECT_TRUE(outcome.safety_ok) << "seed " << seed << ": "
+                                   << outcome.safety_detail;
+  }
+  std::sort(stop_ms.begin(), stop_ms.end());
+  const double median = (stop_ms[kTrials / 2 - 1] + stop_ms[kTrials / 2]) / 2;
+  EXPECT_LT(median, UdpSocket::kPollIntervalMs / 4.0)
+      << "median stop() wall over " << kTrials << " trials, ms";
 }
 
 // ---------------------------------------------------------------------

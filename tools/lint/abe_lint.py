@@ -49,12 +49,13 @@ them:
                   happens to count things (vote tallies, round counters in
                   src/algo/, src/core/, …) is protocol logic, not
                   observability, and is out of scope by path.
-  raw-socket      No direct socket(2)/bind/sendto/recvfrom calls outside
-                  src/runtime/udp_socket.*: that wrapper is the single
-                  place the OS networking surface is touched, so loss
-                  injection, the 20 ms shutdown poll, fd hygiene and the
-                  port-budget cap stay enforceable in one file. Qualified
-                  names (std::bind, obj.bind(...)) never trip; the bare
+  raw-socket      No direct socket(2)/bind/sendto/recvfrom/setsockopt/
+                  shutdown calls outside src/runtime/udp_socket.*: that
+                  wrapper is the single place the OS networking surface is
+                  touched, so loss injection, socket options, read-side
+                  shutdown, fd hygiene and the port-budget cap stay
+                  enforceable in one file. Qualified names (std::bind,
+                  obj.bind(...), pool.shutdown()) never trip; the bare
                   libc spellings and explicit ::socket etc. do.
 
 Suppressions (each names the rule, so waivers stay narrow):
@@ -141,11 +142,13 @@ ADVERSARY_PATH_PREFIX = "src/adversary/"
 
 # --- raw-socket ------------------------------------------------------------
 
-# The libc datagram surface. `bind` is the noisy one: std::bind, member
-# .bind(...)/->bind(...) and declarations (`UdpSocket socket(...)`) are all
-# legitimate, so the check inspects what precedes the token (see
-# check_raw_socket) instead of widening the regex.
-RAW_SOCKET_RE = re.compile(r"\b(?:socket|sendto|recvfrom|bind)\s*\(")
+# The libc datagram surface. `bind` and `shutdown` are the noisy ones:
+# std::bind, member .bind(...)/pool.shutdown() and declarations
+# (`UdpSocket socket(...)`, `void shutdown();`) are all legitimate, so the
+# check inspects what precedes the token (see check_raw_socket) instead of
+# widening the regex.
+RAW_SOCKET_RE = re.compile(
+    r"\b(?:socket|sendto|recvfrom|bind|setsockopt|shutdown)\s*\(")
 RAW_SOCKET_ALLOWED_PREFIX = "src/runtime/udp_socket."
 
 # --- no-adhoc-counters -----------------------------------------------------
@@ -378,8 +381,9 @@ def check_raw_socket(relpath, lines, add):
                 "raw-socket",
                 "direct socket-API call outside src/runtime/udp_socket.*: "
                 "the UdpSocket wrapper is the single OS networking "
-                "touchpoint (loss injection, shutdown poll, fd hygiene, "
-                "port budget) — route datagram I/O through it",
+                "touchpoint (loss injection, socket options, read-side "
+                "shutdown, fd hygiene, port budget) — route datagram I/O "
+                "through it",
             )
 
 

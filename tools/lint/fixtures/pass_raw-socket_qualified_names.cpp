@@ -13,10 +13,15 @@ struct Endpoint {
 
 struct UdpSocketLike {};
 
-void use_qualified(Endpoint& ep, Endpoint* ptr) {
+struct WorkerPool {
+  void shutdown();
+};
+
+void use_qualified(Endpoint& ep, Endpoint* ptr, WorkerPool& pool) {
   auto f = std::bind(&Endpoint::bind, &ep, 7);
   ep.bind(7);
   ptr->bind(8);
+  pool.shutdown();
   UdpSocketLike socket{};
   (void)socket;
   (void)f;

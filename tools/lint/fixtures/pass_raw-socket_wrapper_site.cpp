@@ -11,6 +11,7 @@ int open_wrapped() {
   ::sendto(fd, "x", 1, 0, nullptr, 0);
   char buf[16];
   ::recvfrom(fd, buf, sizeof(buf), 0, nullptr, nullptr);
+  ::shutdown(fd, SHUT_RD);
   return fd;
 }
 

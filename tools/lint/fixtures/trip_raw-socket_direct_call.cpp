@@ -13,6 +13,9 @@ int open_rogue_channel() {
   sendto(fd, "x", 1, 0, nullptr, 0);
   char buf[16];
   recvfrom(fd, buf, sizeof(buf), 0, nullptr, nullptr);
+  int on = 1;
+  setsockopt(fd, 1, 2, &on, sizeof(on));  // bare socket-option call
+  ::shutdown(fd, SHUT_RD);                // explicit read-side shutdown
   return fd;
 }
 
