@@ -4,11 +4,12 @@
 // inbound delivery (on_message/on_tick/on_timer) and outbound sends (via a
 // Context shim) — so crash, equivocation and reordering faults are injected
 // WITHOUT touching algorithm or runtime code. Because the decorator is just
-// another Node, it runs identically on SimRuntime and ThreadRuntime.
+// another Node, it runs identically on every runtime: SimRuntime, and
+// ThreadRuntime over either transport (thread or udp).
 //
 // Thread-safety: all FaultyNode state is confined to the node's own thread
 // (the runtime delivers every callback of one node sequentially, on the
-// simulator trivially and on the thread runtime on the node's own thread),
+// simulator trivially and in real time on the node's dispatcher thread),
 // so no locks are needed — same discipline as algorithm node state.
 //
 // Result extraction sees through the decorator via Node::algorithm_node():

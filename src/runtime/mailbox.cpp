@@ -65,11 +65,6 @@ void Mailbox::cancel_timer(std::int64_t timer_id) {
   cancelled_timers_.push_back(timer_id);
 }
 
-std::size_t Mailbox::approximate_size() const {
-  MutexLock lock(mutex_);
-  return queue_.size();
-}
-
 std::size_t Mailbox::high_water() const {
   MutexLock lock(mutex_);
   return high_water_;

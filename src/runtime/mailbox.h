@@ -1,9 +1,10 @@
-// Blocking per-node mailbox for the thread runtime.
+// Blocking per-node mailbox for the real-time network (runtime/thread_net.h).
 //
 // Items carry a due time (monotonic clock): channel delay is realised by
 // enqueueing with a future due time; pop() blocks until the earliest item is
 // due, a new earlier item arrives, or the mailbox is closed. One consumer
-// (the node's own thread), many producers (peers' threads).
+// (the node's own thread), many producers (peers' threads, and on udp
+// the node's reader thread).
 #pragma once
 
 #include <chrono>
@@ -58,8 +59,6 @@ class Mailbox {
 
   // Marks a timer id cancelled; the matching kTimer item is dropped on pop.
   void cancel_timer(std::int64_t timer_id) EXCLUDES(mutex_);
-
-  std::size_t approximate_size() const EXCLUDES(mutex_);
 
   // Largest queue depth ever observed after a push — the mailbox-backlog
   // gauge of the obs metrics snapshot. Updated under the mutex the push

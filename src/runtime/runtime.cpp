@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "core/harness.h"
-#include "runtime/udp_runtime.h"
 #include "util/check.h"
 
 namespace abe {
@@ -106,10 +105,20 @@ RunStats SimRuntime::stats() const {
 // ---------------------------------------------------------------------------
 // ThreadRuntime
 
-ThreadNetConfig ThreadRuntime::to_thread_config(const RuntimeConfig& config) {
-  ABE_CHECK_LE(config.topology.n, kMaxThreadRuntimeNodes)
-      << "thread runtime spawns one OS thread per node";
+ThreadNetConfig ThreadRuntime::to_thread_config(RuntimeKind kind,
+                                                const RuntimeConfig& config) {
   ThreadNetConfig net;
+  if (kind == RuntimeKind::kUdp) {
+    ABE_CHECK_LE(config.topology.n, kMaxUdpRuntimeNodes)
+        << "udp runtime opens one loopback socket and two OS threads per "
+           "node";
+    net.transport = TransportKind::kUdp;
+    net.reliable = config.udp_reliable;
+  } else {
+    ABE_CHECK(kind == RuntimeKind::kThread) << "not a real-time runtime kind";
+    ABE_CHECK_LE(config.topology.n, kMaxThreadRuntimeNodes)
+        << "thread runtime spawns one OS thread per node";
+  }
   net.topology = config.topology;
   net.delay = config.delay;
   net.adversary_delay = config.adversary_delay;
@@ -127,11 +136,16 @@ ThreadNetConfig ThreadRuntime::to_thread_config(const RuntimeConfig& config) {
   return net;
 }
 
-ThreadRuntime::ThreadRuntime(RuntimeConfig config)
+ThreadRuntime::ThreadRuntime(RuntimeKind kind, RuntimeConfig config)
     : time_scale_us_(config.time_scale_us),
       wall_timeout_ms_(config.wall_timeout_ms),
-      net_(to_thread_config(config)) {
+      net_(to_thread_config(kind, config)) {
   ABE_CHECK_GT(wall_timeout_ms_, 0.0);
+}
+
+RuntimeKind ThreadRuntime::kind() const {
+  return net_.transport() == TransportKind::kUdp ? RuntimeKind::kUdp
+                                                 : RuntimeKind::kThread;
 }
 
 void ThreadRuntime::build_nodes(
@@ -144,7 +158,7 @@ void ThreadRuntime::start() {
   // Single clock read point: derive the wall deadline from the same
   // start_time_ read net_.start() took, rather than a second now() — so
   // the budget and now_sim() share one origin and cross-substrate wall
-  // accounting lines up (ISSUE 10 small fix).
+  // accounting lines up.
   wall_deadline_ =
       net_.start_time() +
       std::chrono::microseconds(
@@ -230,9 +244,8 @@ std::unique_ptr<Runtime> make_runtime(RuntimeKind kind,
     case RuntimeKind::kSim:
       return std::make_unique<SimRuntime>(std::move(config));
     case RuntimeKind::kThread:
-      return std::make_unique<ThreadRuntime>(std::move(config));
     case RuntimeKind::kUdp:
-      return std::make_unique<UdpRuntime>(std::move(config));
+      return std::make_unique<ThreadRuntime>(kind, std::move(config));
   }
   ABE_CHECK(false) << "unhandled runtime kind";
   return nullptr;

@@ -1,32 +1,33 @@
-// The unified Runtime contract: one execution API over both substrates.
+// The unified Runtime contract: one execution API over every substrate.
 //
 // The paper's ABE model sits *between* pure asynchrony and real networks, so
 // conclusions drawn from the discrete-event simulator should be checkable
-// against a real-thread execution of the very same algorithm code, on the
+// against a real-time execution of the very same algorithm code, on the
 // same scenario matrix. This header is that seam:
 //
 //   * RuntimeConfig — the runtime-agnostic experiment environment (topology,
 //     delay model, clock bounds/drift, processing, failure injection, ticks,
-//     seed) plus the per-substrate realisation knobs (wall time scale and
-//     budget for threads);
+//     seed) plus the real-time realisation knobs (wall time scale and
+//     budget, the udp ARQ switch);
 //   * Runtime — one lifecycle (build nodes → start → run to a completion
 //     predicate or deadline → settle/drain → stop → inspect), implemented by
 //       - SimRuntime    wrapping Scheduler+Network  (net/network.h),
-//       - ThreadRuntime wrapping ThreadNetwork      (runtime/thread_net.h),
-//       - UdpRuntime    wrapping UdpNetwork         (runtime/udp_runtime.h,
-//         real loopback datagrams with measured delays);
+//       - ThreadRuntime wrapping ThreadNetwork      (runtime/thread_net.h)
+//         for both real-time kinds: kThread over the in-process transport,
+//         kUdp over real loopback datagrams with measured delays
+//         (runtime/udp_transport.h);
 //   * RunStats — the uniform harvest (messages sent/delivered/dropped, ticks,
 //     clock reading, per-node terminated flags);
-//   * AlgorithmDriver — what an algorithm must provide to run on either
+//   * AlgorithmDriver — what an algorithm must provide to run on any
 //     substrate: a node factory, a done-predicate, and result extraction.
-//     run_algorithm_trial() executes a driver on either runtime.
+//     run_algorithm_trial() executes a driver on any runtime.
 //
 // Determinism contract: on the simulator the driver lifecycle makes the
 // exact same Network calls the pre-Runtime per-algorithm runners made, so
-// seeded aggregates are bit-identical across the redesign. The thread
-// runtime is wall-clock driven and intentionally nondeterministic — parity
-// there means model-level postconditions (leader uniqueness, dissemination,
-// message counts in the same regime), never traces.
+// seeded aggregates are bit-identical across the redesign. The real-time
+// runtimes are wall-clock driven and intentionally nondeterministic —
+// parity there means model-level postconditions (leader uniqueness,
+// dissemination, message counts in the same regime), never traces.
 #pragma once
 
 #include <chrono>
@@ -51,7 +52,7 @@ namespace abe {
 enum class RuntimeKind : std::uint8_t {
   kSim,     // discrete-event simulator (deterministic, any n)
   kThread,  // one OS thread per node, wall-clock delays (fidelity check)
-  kUdp,     // real loopback UDP datagrams, measured delays (udp_runtime.h)
+  kUdp,     // real loopback UDP datagrams, measured delays (udp_transport.h)
 };
 
 const char* runtime_kind_name(RuntimeKind kind);
@@ -63,16 +64,17 @@ bool runtime_kind_from_name(const std::string& name, RuntimeKind* out);
 // Configuration
 
 // Everything a runtime needs to realise one trial environment. Field-level
-// comments live with the originating structs (NetworkConfig,
-// ThreadNetConfig); this is their union, with substrate-only knobs marked.
+// comments live with the configs the runtimes build from it (NetworkConfig
+// for the simulator, ThreadNetConfig for the real-time runtimes);
+// substrate-only knobs are marked.
 struct RuntimeConfig {
   Topology topology;
   DelayModelPtr delay;  // failure-degrade wrapping already applied
   // When set, overrides `delay` for every channel: the adversary chooses
   // each message's delay (stateful, edge-aware) instead of sampling the
   // model. Build only via make_bounded_adversary (adversary/delay_policy.h),
-  // which enforces the ABE empirical-mean bound per channel. Both runtimes
-  // honor it; nullptr keeps the honest sampling path byte-for-byte.
+  // which enforces the ABE empirical-mean bound per channel. Every runtime
+  // honors it; nullptr keeps the honest sampling path byte-for-byte.
   AdversaryPolicyPtr adversary_delay;
   ChannelOrdering ordering = ChannelOrdering::kArbitrary;  // sim only
   ClockBounds clock_bounds{};
@@ -80,14 +82,15 @@ struct RuntimeConfig {
   ProcessingModel processing = ProcessingModel::zero();
   bool enable_ticks = false;
   double tick_local_period = 1.0;
-  // Per-attempt silent drop (FailureProfile::channel_loss). Both runtimes
-  // honor it and count drops in RunStats.messages_dropped.
+  // Per-attempt silent drop (FailureProfile::channel_loss). Every runtime
+  // honors it and counts drops in RunStats.messages_dropped (a reliable udp
+  // cell retransmits instead, and counts only give-ups).
   double loss_probability = 0.0;
   std::uint64_t seed = 1;
-  // Give up past this simulated time (thread: scaled to a wall budget and
-  // clamped by wall_timeout_ms).
+  // Give up past this simulated time (thread/udp: scaled to a wall budget
+  // and clamped by wall_timeout_ms).
   SimTime deadline = 1e7;
-  // Full-detail tracing on either substrate (the flight recorder itself is
+  // Full-detail tracing on any substrate (the flight recorder itself is
   // always on at small capacity; this raises capacity and records payload
   // strings). See trace/trace.h.
   bool trace = false;
@@ -102,8 +105,8 @@ struct RuntimeConfig {
   // at 256 events. Same no-RNG/no-reorder contract as `metrics`.
   bool causal_history = false;
   // Time-series telemetry (obs/timeseries.h): sim-time sampling grid for
-  // load gauges; 0 disables. Simulator only — thread-runtime gauges would
-  // be wall-clock artefacts.
+  // load gauges; 0 disables. Simulator only — real-time gauges would be
+  // wall-clock artefacts.
   double timeseries_interval = 0.0;
   // --- thread/udp-runtime realisation (ignored by the simulator) ---------
   double time_scale_us = 200.0;     // wall microseconds per sim unit
@@ -112,9 +115,9 @@ struct RuntimeConfig {
   // Settle windows (run_for) are bounded sleeps on top.
   double wall_timeout_ms = 30000.0;
   // --- udp-runtime realisation (ignored elsewhere) -----------------------
-  // Per-channel ARQ reliable mode: sequence numbers, ACKs, timeout
-  // retransmission, receiver dedup (runtime/udp_runtime.h). Injected loss
-  // then degrades goodput instead of dropping messages.
+  // The udp transport's own per-channel ARQ: sequence numbers, ACKs,
+  // timeout retransmission, receiver dedup (runtime/udp_transport.h).
+  // Injected loss then degrades goodput instead of dropping messages.
   bool udp_reliable = false;
 };
 
@@ -129,7 +132,7 @@ struct RunStats {
   SimTime now = 0.0;  // runtime clock at the moment of sampling
   std::vector<bool> terminated;  // per-node snapshot
 
-  // On a RUNNING thread runtime the three counters are sampled by separate
+  // On a RUNNING real-time runtime the three counters are sampled by separate
   // atomic loads — no consistent snapshot — so cross-counter arithmetic
   // like this can transiently read zero while messages are in flight.
   // Treat it as exact only after stop() or a successful drain() (which
@@ -175,7 +178,7 @@ struct TrialOutcome {
   // loss) rather than still working when the deadline hit. Always false
   // when completed.
   bool stalled = false;
-  SimTime time = 0.0;       // completion time (sim units on both runtimes)
+  SimTime time = 0.0;       // completion time (sim units on every runtime)
   std::uint64_t messages = 0;
   // Node at which the algorithm decided (elected leader / consensus sink);
   // -1 when unknown. Set by drivers in extract(); anchors the causal
@@ -218,7 +221,7 @@ class Runtime {
   virtual void start() = 0;
   // Runs until `done()` holds or `deadline` (sim units) passes; returns
   // whether done() held. On the simulator the predicate is checked after
-  // every event; on threads it is re-evaluated on every node-event
+  // every event; in real time it is re-evaluated on every node-event
   // completion (condition-variable, no busy polling). Thread predicates run
   // concurrently with node threads and must only read atomics —
   // terminated(i) or driver-owned atomic observers; individual RunStats
@@ -227,7 +230,7 @@ class Runtime {
   virtual bool run_until_done(const std::function<bool()>& done,
                               SimTime deadline) = 0;
   // Lets the network run for `duration` more sim units (settle windows).
-  // The thread runtime floors this at kMinSettleWallMs of wall time — OS
+  // The real-time runtimes floor this at kMinSettleWallMs of wall time — OS
   // scheduling jitter makes shorter windows meaningless there.
   virtual void run_for(SimTime duration) = 0;
   // Runs until no messages are in flight or being handled (quiescence for
@@ -239,18 +242,18 @@ class Runtime {
   virtual void stop() = 0;
 
   // --- observation -------------------------------------------------------
-  // Global clock in sim units (wall time / time_scale on threads).
+  // Global clock in sim units (wall time / time_scale in real time).
   virtual SimTime now() const = 0;
-  // Race-free per-node terminated flag; safe while running on both
-  // runtimes (atomic on threads).
+  // Race-free per-node terminated flag; safe while running on every
+  // runtime (atomic in real time).
   virtual bool terminated(std::size_t i) const = 0;
   // Node state. Safe any time on the simulator; only after stop() on the
-  // thread runtime (state is owned by the node's thread while running).
+  // real-time runtimes (state is owned by the node's thread while running).
   virtual Node& node(std::size_t i) = 0;
   virtual RunStats stats() const = 0;
   // Deterministic-by-name metrics harvest (obs/metrics.h). Simulator
   // snapshots are bit-reproducible for a fixed seed; thread snapshots
-  // report wall-clock facts. Safe after stop() on both runtimes.
+  // report wall-clock facts. Safe after stop() on every runtime.
   virtual MetricsSnapshot metrics_snapshot() const = 0;
   // Copy of the flight recorder: always-on ring of recent events (full
   // capacity + payload detail when RuntimeConfig::trace is set). Thread
@@ -311,11 +314,14 @@ class SimRuntime final : public Runtime {
   Network net_;
 };
 
+// The real-time adapter, for both RuntimeKind::kThread and kUdp: the kind
+// picks ThreadNetwork's transport, and kind() reads it back.
 class ThreadRuntime final : public Runtime {
  public:
-  explicit ThreadRuntime(RuntimeConfig config);
+  // `kind` is kThread or kUdp.
+  ThreadRuntime(RuntimeKind kind, RuntimeConfig config);
 
-  RuntimeKind kind() const override { return RuntimeKind::kThread; }
+  RuntimeKind kind() const override;
   std::size_t size() const override { return net_.size(); }
   void build_nodes(
       const std::function<NodePtr(std::size_t)>& factory) override;
@@ -334,10 +340,9 @@ class ThreadRuntime final : public Runtime {
   }
   Trace trace_snapshot() const override { return net_.trace_copy(); }
 
-  ThreadNetwork& thread_network() { return net_; }
-
  private:
-  static ThreadNetConfig to_thread_config(const RuntimeConfig& config);
+  static ThreadNetConfig to_thread_config(RuntimeKind kind,
+                                          const RuntimeConfig& config);
   // Wall milliseconds left of the per-trial budget (≥ 1 so waits with an
   // exhausted budget still poll the predicate once).
   double remaining_budget_ms() const;
@@ -351,7 +356,7 @@ class ThreadRuntime final : public Runtime {
   SimTime stop_time_ = 0.0;
 };
 
-// Constructs the runtime for `kind`. Thread-runtime structural limits
+// Constructs the runtime for `kind`. Real-time structural limits
 // (piecewise drift, node cap) abort here — gate user input with
 // runtime_cell_problem (scenario/scenario.h) first.
 std::unique_ptr<Runtime> make_runtime(RuntimeKind kind, RuntimeConfig config);

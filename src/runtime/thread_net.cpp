@@ -1,10 +1,20 @@
 #include "runtime/thread_net.h"
 
 #include <algorithm>
+#include <string>
 
 #include "util/check.h"
 
 namespace abe {
+
+namespace {
+
+// The substrate name each transport reports under (see TransportKind).
+const char* transport_name(TransportKind kind) {
+  return kind == TransportKind::kUdp ? "udp" : "thread";
+}
+
+}  // namespace
 
 // Context implementation whose methods run exclusively on the node's thread.
 class ThreadNetwork::ThreadContext final : public Context {
@@ -24,46 +34,7 @@ class ThreadNetwork::ThreadContext final : public Context {
   std::size_t network_size() const override { return net_->size(); }
 
   void send(std::size_t out_index, PayloadPtr payload) override {
-    ABE_CHECK_LT(out_index, net_->out_channels_[index_].size());
-    ABE_CHECK(static_cast<bool>(payload));
-    Slot& self_slot = net_->slots_[index_];
-    const std::size_t edge = net_->out_channels_[index_][out_index];
-    const std::size_t to = net_->config_.topology.edges[edge].to;
-
-    net_->messages_sent_.fetch_add(1, std::memory_order_relaxed);
-    // The send's cause is the handler this thread is currently running; the
-    // send's id rides the mail item so the pop-side DELIVER links back.
-    const std::int64_t send_id = net_->record_trace(
-        TraceKind::kSend, self(), static_cast<std::int64_t>(edge),
-        net_->trace_detail(*payload, edge), self_slot.current_cause);
-    // Silent loss (failure injection): the message vanishes in transit.
-    // Sent-then-dropped counting mirrors NetworkMetrics, so in-flight
-    // arithmetic (sent - delivered - dropped) works on both runtimes.
-    if (net_->config_.loss_probability > 0.0 &&
-        self_slot.rng.bernoulli(net_->config_.loss_probability)) {
-      net_->messages_dropped_.fetch_add(1, std::memory_order_relaxed);
-      net_->record_trace(TraceKind::kDrop,
-                         NodeId{static_cast<std::int64_t>(to)},
-                         static_cast<std::int64_t>(edge),
-                         net_->trace_detail(*payload, edge), send_id);
-      return;
-    }
-
-    // Policies synchronise internally (make_bounded_adversary) — this call
-    // runs concurrently from every node thread.
-    const double delay =
-        net_->config_.adversary_delay != nullptr
-            ? net_->config_.adversary_delay->next_delay(index_, to)
-            : net_->config_.delay->sample(self_slot.rng);
-    MailItem item;
-    item.kind = MailItem::Kind::kMessage;
-    item.due = net_->sim_to_wall(delay);
-    item.cause = send_id;
-    item.in_index = net_->in_index_of_edge_[edge];
-    item.edge = edge;
-    item.payload = std::shared_ptr<const Payload>(payload.release());
-    item.delay_sim = delay;
-    net_->slots_[to].mailbox->push(std::move(item));
+    net_->send(index_, out_index, std::move(payload));
   }
 
   double local_now() override {
@@ -106,8 +77,26 @@ class ThreadNetwork::ThreadContext final : public Context {
   std::size_t index_;
 };
 
+// The thread runtime's transport: the message is due one sampled delay
+// from now, straight in the receiver's mailbox.
+class ThreadNetwork::InProcessTransport final : public Transport {
+ public:
+  explicit InProcessTransport(ThreadNetwork& net) : net_(net) {}
+
+  void send(std::size_t /*from*/, std::size_t /*out_index*/,
+            MailItem item) override {
+    const std::size_t to = net_.config_.topology.edges[item.edge].to;
+    item.due = net_.sim_to_wall(item.delay_sim);
+    net_.slots_[to].mailbox->push(std::move(item));
+  }
+
+ private:
+  ThreadNetwork& net_;
+};
+
 ThreadNetwork::ThreadNetwork(ThreadNetConfig config)
     : config_(std::move(config)), root_rng_(config_.seed) {
+  const std::string name = transport_name(config_.transport);
   validate_topology(config_.topology);
   config_.clock_bounds.validate();
   if (!config_.delay) config_.delay = exponential_delay(1.0);
@@ -115,6 +104,14 @@ ThreadNetwork::ThreadNetwork(ThreadNetConfig config)
   ABE_CHECK_GE(config_.loss_probability, 0.0);
   ABE_CHECK_LT(config_.loss_probability, 1.0)
       << "loss probability 1 would never deliver";
+  ABE_CHECK(!config_.reliable || config_.transport == TransportKind::kUdp)
+      << "the reliable ARQ belongs to the udp transport";
+  ABE_CHECK_GT(config_.arq_timeout, 0.0);
+  ABE_CHECK_GE(config_.arq_max_attempts, 1);
+  ABE_CHECK(config_.drift != DriftModel::kPiecewiseRandom)
+      << name
+      << " runtime realises clocks as scaled wall time; only kNone and "
+         "kFixedRandomRate are possible";
 
   const std::size_t n = config_.topology.n;
   out_channels_ = out_adjacency(config_.topology);
@@ -125,22 +122,24 @@ ThreadNetwork::ThreadNetwork(ThreadNetConfig config)
       in_index_of_edge_[in_channels_[v][k]] = k;
     }
   }
-  ABE_CHECK(config_.drift != DriftModel::kPiecewiseRandom)
-      << "thread runtime realises clocks as scaled wall time; only kNone "
-         "and kFixedRandomRate are possible";
 
   slots_ = std::vector<Slot>(n);
   for (std::size_t i = 0; i < n; ++i) {
     slots_[i].mailbox = std::make_unique<Mailbox>();
     slots_[i].context = std::make_unique<ThreadContext>(this, i);
-    slots_[i].rng = root_rng_.substream("thread-node", i);
+    slots_[i].rng = root_rng_.substream(name + "-node", i);
     if (config_.drift == DriftModel::kFixedRandomRate) {
-      Rng clock_rng = root_rng_.substream("thread-clock", i);
+      Rng clock_rng = root_rng_.substream(name + "-clock", i);
       slots_[i].clock_rate = clock_rng.uniform(config_.clock_bounds.s_low,
                                                config_.clock_bounds.s_high);
     } else {
       slots_[i].clock_rate = 1.0;
     }
+  }
+  if (config_.transport == TransportKind::kUdp) {
+    transport_ = make_udp_transport(*this);
+  } else {
+    transport_ = std::make_unique<InProcessTransport>(*this);
   }
   {
     MutexLock lock(trace_mutex_);
@@ -179,7 +178,10 @@ Trace ThreadNetwork::trace_copy() const {
 }
 
 MetricsSnapshot ThreadNetwork::metrics_snapshot() const {
+  const std::string prefix =
+      std::string(transport_name(config_.transport)) + ".";
   MetricsSnapshot snap;
+  transport_->add_metrics(snap);
   snap.add_counter("net.sent", static_cast<double>(messages_sent_.load()));
   snap.add_counter("net.delivered",
                    static_cast<double>(messages_delivered_.load()));
@@ -187,14 +189,14 @@ MetricsSnapshot ThreadNetwork::metrics_snapshot() const {
                    static_cast<double>(messages_dropped_.load()));
   snap.add_counter("net.ticks", static_cast<double>(ticks_fired_.load()));
   snap.add_counter("net.timers", static_cast<double>(timers_fired_.load()));
-  snap.add_counter("thread.cv_wakeups",
+  snap.add_counter(prefix + "cv_wakeups",
                    static_cast<double>(cv_wakeups_.load()));
   std::size_t mailbox_high_water = 0;
   for (const auto& slot : slots_) {
     mailbox_high_water = std::max(mailbox_high_water,
                                   slot.mailbox->high_water());
   }
-  snap.add_gauge("thread.mailbox_high_water",
+  snap.add_gauge(prefix + "mailbox_high_water",
                  static_cast<double>(mailbox_high_water));
   if (config_.metrics) {
     std::uint64_t total_ns = 0;
@@ -205,9 +207,9 @@ MetricsSnapshot ThreadNetwork::metrics_snapshot() const {
       total_ns += ns;
       max_ns = std::max(max_ns, ns);
     }
-    snap.add_counter("thread.handler_us.sum",
+    snap.add_counter(prefix + "handler_us.sum",
                      static_cast<double>(total_ns) / 1e3);
-    snap.add_gauge("thread.handler_us.max",
+    snap.add_gauge(prefix + "handler_us.max",
                    static_cast<double>(max_ns) / 1e3);
   }
   {
@@ -259,9 +261,53 @@ void ThreadNetwork::start() {
     ABE_CHECK(static_cast<bool>(slots_[i].node)) << "node " << i << " missing";
   }
   start_time_ = MailItem::Clock::now();
+  transport_->start();
   for (std::size_t i = 0; i < slots_.size(); ++i) {
-    slots_[i].thread = std::thread([this, i] { thread_main(i); });
+    slots_[i].dispatcher = std::thread([this, i] { dispatcher_main(i); });
   }
+}
+
+void ThreadNetwork::send(std::size_t from, std::size_t out_index,
+                         PayloadPtr payload) {
+  ABE_CHECK_LT(out_index, out_channels_[from].size());
+  ABE_CHECK(static_cast<bool>(payload));
+  Slot& slot = slots_[from];
+  const std::size_t edge = out_channels_[from][out_index];
+  const std::size_t to = config_.topology.edges[edge].to;
+
+  messages_sent_.fetch_add(1, std::memory_order_relaxed);
+  // The send's cause is the handler this thread is currently running; the
+  // send's id rides the mail item so the pop-side DELIVER links back.
+  const std::int64_t send_id = record_trace(
+      TraceKind::kSend, NodeId{static_cast<std::int64_t>(from)},
+      static_cast<std::int64_t>(edge), trace_detail(*payload, edge),
+      slot.current_cause);
+  // Silent loss (failure injection): the message vanishes in transit.
+  // Sent-then-dropped counting mirrors NetworkMetrics, so in-flight
+  // arithmetic (sent - delivered - dropped) works on every runtime. The
+  // reliable udp ARQ draws this coin per datagram attempt instead.
+  if (!config_.reliable && config_.loss_probability > 0.0 &&
+      slot.rng.bernoulli(config_.loss_probability)) {
+    messages_dropped_.fetch_add(1, std::memory_order_relaxed);
+    record_trace(TraceKind::kDrop, NodeId{static_cast<std::int64_t>(to)},
+                 static_cast<std::int64_t>(edge), trace_detail(*payload, edge),
+                 send_id);
+    return;
+  }
+
+  // Policies synchronise internally (make_bounded_adversary) — this call
+  // runs concurrently from every node thread.
+  const double delay = config_.adversary_delay != nullptr
+                           ? config_.adversary_delay->next_delay(from, to)
+                           : config_.delay->sample(slot.rng);
+  MailItem item;
+  item.kind = MailItem::Kind::kMessage;
+  item.cause = send_id;
+  item.in_index = in_index_of_edge_[edge];
+  item.edge = edge;
+  item.payload = std::shared_ptr<const Payload>(payload.release());
+  item.delay_sim = delay;
+  transport_->send(from, out_index, std::move(item));
 }
 
 void ThreadNetwork::signal_progress() {
@@ -273,7 +319,7 @@ void ThreadNetwork::signal_progress() {
   progress_cv_.notify_all();
 }
 
-void ThreadNetwork::thread_main(std::size_t index) {
+void ThreadNetwork::dispatcher_main(std::size_t index) {
   Slot& slot = slots_[index];
   Context& ctx = *slot.context;
   active_handlers_.fetch_add(1, std::memory_order_acq_rel);
@@ -296,13 +342,25 @@ void ThreadNetwork::thread_main(std::size_t index) {
   if (config_.enable_ticks) {
     MailItem tick;
     tick.kind = MailItem::Kind::kTimer;
-    tick.timer_id = -1;  // sentinel: tick, not a user timer
+    tick.timer_id = kTickTimerId;
     tick.due = next_tick_due();
     slot.mailbox->push(std::move(tick));
   }
 
   MailItem item;
   while (slot.mailbox->pop(item)) {
+    // Transport timers (udp ARQ retransmits) are not node events — no
+    // trace record, no timer counter — but they are bracketed by
+    // active_handlers_ like everything else, so a give-up's dropped++ can
+    // never land outside a handler window.
+    if (item.kind == MailItem::Kind::kTimer &&
+        item.timer_id == kTransportTimerId) {
+      active_handlers_.fetch_add(1, std::memory_order_acq_rel);
+      transport_->on_timer(index, item.tag);
+      active_handlers_.fetch_sub(1, std::memory_order_acq_rel);
+      signal_progress();
+      continue;
+    }
     // The handler scope participates in quiescence detection: in-flight can
     // read 0 while a just-delivered message is still being handled (and may
     // yet send), so wait_quiescent also requires active_handlers_ == 0.
@@ -327,10 +385,8 @@ void ThreadNetwork::thread_main(std::size_t index) {
       slot.current_cause = record_trace(
           TraceKind::kDeliver, ctx.self(),
           static_cast<std::int64_t>(item.edge),
-          config_.trace ? "edge=" + std::to_string(item.edge) + " " +
-                              item.payload->describe()
-                        : std::string(),
-          item.cause, item.delay_sim, ptime);
+          trace_detail(*item.payload, item.edge), item.cause, item.delay_sim,
+          ptime);
       // Definition 1(3): handling occupies the node for the sampled time.
       if (ptime > 0.0) {
         std::this_thread::sleep_for(std::chrono::microseconds(
@@ -338,7 +394,7 @@ void ThreadNetwork::thread_main(std::size_t index) {
       }
       slot.node->on_message(ctx, item.in_index, *item.payload);
     } else if (item.kind == MailItem::Kind::kTimer) {
-      if (item.timer_id == -1) {
+      if (item.timer_id == kTickTimerId) {
         ++tick_seq;
         ticks_fired_.fetch_add(1, std::memory_order_relaxed);
         slot.current_cause = record_trace(TraceKind::kTick, ctx.self(),
@@ -348,7 +404,7 @@ void ThreadNetwork::thread_main(std::size_t index) {
         if (!slot.node->is_terminated()) {
           MailItem tick;
           tick.kind = MailItem::Kind::kTimer;
-          tick.timer_id = -1;
+          tick.timer_id = kTickTimerId;
           tick.cause = slot.current_cause;  // this tick schedules the next
           tick.due = next_tick_due();
           slot.mailbox->push(std::move(tick));
@@ -419,11 +475,14 @@ bool ThreadNetwork::wait_quiescent(std::chrono::milliseconds timeout) {
 
 void ThreadNetwork::stop() {
   if (!started_.load() || stopped_.exchange(true)) return;
+  // Transport first, so no new mailbox items appear while the dispatchers
+  // drain; closed mailboxes then unblock the dispatchers.
+  transport_->stop();
   for (auto& slot : slots_) {
     slot.mailbox->close();
   }
   for (auto& slot : slots_) {
-    if (slot.thread.joinable()) slot.thread.join();
+    if (slot.dispatcher.joinable()) slot.dispatcher.join();
   }
 }
 

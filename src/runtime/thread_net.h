@@ -1,8 +1,9 @@
-// Real-thread runtime: one std::thread per node, blocking mailboxes,
-// wall-clock delays. This is the substrate behind ThreadRuntime — the
-// real-thread half of the unified Runtime contract (runtime/runtime.h);
-// algorithm code reaches it through the same Node/Context interface the
-// simulator provides, so the exact same node objects run on both.
+// The real-time network: one dispatcher thread per node, blocking
+// mailboxes, wall-clock delays. This is the substrate behind ThreadRuntime —
+// the real-time half of the unified Runtime contract (runtime/runtime.h),
+// serving both RuntimeKind::kThread and RuntimeKind::kUdp; algorithm code
+// reaches it through the same Node/Context interface the simulator
+// provides, so the exact same node objects run on every substrate.
 //
 // One simulated time unit maps to `time_scale_us` microseconds of wall
 // time; channel delays are sampled from the same DelayModel and realised by
@@ -15,6 +16,18 @@
 // with FailureProfile::apply before handing it in). Definition 1(3)
 // processing time is realised literally: the node's thread sleeps for the
 // sampled handling time before processing a delivered message.
+//
+// How a sent message reaches its receiver's mailbox is the one thing the
+// two real-time substrates do differently, so it sits behind a Transport
+// seam under the shared dispatcher:
+//   - kInProcess pushes the due-time item straight into the receiver's
+//     mailbox (RuntimeKind::kThread);
+//   - kUdp carries every message as a real loopback datagram with a
+//     measured transit and an optional per-channel ARQ
+//     (runtime/udp_transport.h; RuntimeKind::kUdp).
+// Everything else — config validation, the Context, the dispatcher and its
+// tick train, trace stamping, the net.* counters, quiescence and stop
+// ordering — exists once, here.
 #pragma once
 
 #include <atomic>
@@ -37,6 +50,14 @@
 
 namespace abe {
 
+// How messages cross between nodes. The kind also names the substrate in
+// RNG substreams ("thread-node" / "udp-node"), metric rows ("thread.*" /
+// "udp.*") and check messages ("thread runtime" / "udp runtime").
+enum class TransportKind : std::uint8_t {
+  kInProcess,  // due-time push into the receiver's mailbox
+  kUdp,        // loopback datagrams (runtime/udp_transport.h)
+};
+
 struct ThreadNetConfig {
   Topology topology;
   DelayModelPtr delay;               // per-channel delay (sim units)
@@ -56,7 +77,9 @@ struct ThreadNetConfig {
   // thread sleeps for the sampled time before invoking on_message.
   ProcessingModel processing = ProcessingModel::zero();
   // Per-attempt silent drop (failure injection; scenario engine). Dropped
-  // sends still count as sent, mirroring NetworkMetrics.
+  // sends still count as sent, mirroring NetworkMetrics. With `reliable`,
+  // the coin suppresses one datagram attempt instead (udp.attempt_drops)
+  // and the ARQ retransmits it.
   double loss_probability = 0.0;
   bool enable_ticks = false;
   double tick_local_period = 1.0;    // in sim units, on the local clock
@@ -71,6 +94,17 @@ struct ThreadNetConfig {
   // Extended observability: per-node handler-time accounting, harvested by
   // metrics_snapshot(). Off by default.
   bool metrics = false;
+  TransportKind transport = TransportKind::kInProcess;
+  // --- kUdp only ---------------------------------------------------------
+  // The udp transport's own per-channel ARQ (sequence numbers, ACKs,
+  // timeout retransmission, receiver dedup; runtime/udp_transport.h).
+  bool reliable = false;
+  // Retransmission timeout in sim units (scaled to wall time like every
+  // other delay). Should exceed the delay model's mean by a few ×.
+  double arq_timeout = 4.0;
+  // Attempt cap per message: past it the sender gives up and counts the
+  // message dropped, so a pathological channel cannot wedge quiescence.
+  int arq_max_attempts = 64;
 };
 
 class ThreadNetwork {
@@ -84,7 +118,8 @@ class ThreadNetwork {
   void add_node(NodePtr node);
   void build_nodes(const std::function<NodePtr(std::size_t)>& factory);
 
-  // Spawns the node threads and delivers on_start on each node's thread.
+  // Starts the transport (udp: one reader thread per node), then spawns the
+  // dispatcher threads and delivers on_start on each node's dispatcher.
   void start();
 
   // Blocks until `pred()` holds or the wall timeout expires, and returns
@@ -99,13 +134,17 @@ class ThreadNetwork {
   // Blocks until no message is in flight or being handled (quiescence for
   // message-driven protocols; meaningless with tick generators or live
   // timers) or the wall timeout expires. Returns whether quiescence held.
+  // An unACKed reliable message keeps sent > delivered + dropped until it
+  // is handled or given up, so the udp ARQ needs no extra clause.
   bool wait_quiescent(std::chrono::milliseconds timeout);
 
-  // Closes all mailboxes and joins all threads. Idempotent; also runs on
-  // destruction.
+  // Stops the transport (udp: shuts each socket's read side, which wakes
+  // its reader at once, and joins the readers), then closes all mailboxes
+  // and joins the dispatchers. Idempotent; also runs on destruction.
   void stop();
 
   std::size_t size() const { return config_.topology.n; }
+  TransportKind transport() const { return config_.transport; }
   // Only safe after stop(): node state is owned by its thread while running.
   Node& node(std::size_t i);
   // Race-free terminated flag, updated by the node's thread after each event.
@@ -132,19 +171,54 @@ class ThreadNetwork {
   Trace trace_copy() const EXCLUDES(trace_mutex_);
 
   // Deterministic-by-name harvest mirroring Network::metrics_snapshot():
-  // net.* counters shared with the simulator plus thread.* rows (CV
-  // wakeups, mailbox high-water, per-node handler time when
-  // ThreadNetConfig::metrics is on). Values are wall-clock facts, so unlike
+  // net.* counters shared with the simulator plus per-transport rows —
+  // thread.* / udp.* CV wakeups, mailbox high-water and (with
+  // ThreadNetConfig::metrics) per-node handler time, and on udp the
+  // datagram/ack/retransmit counts, the measured udp.transit_us histogram
+  // and, when reliable, arq.rtt. Values are wall-clock facts, so unlike
   // simulator snapshots they are not bit-reproducible across runs.
   MetricsSnapshot metrics_snapshot() const EXCLUDES(trace_mutex_);
 
  private:
   class ThreadContext;
+
+  // The seam under the shared dispatcher: how a message that survived the
+  // loss coin and got its delay reaches the receiver's mailbox.
+  class Transport {
+   public:
+    virtual ~Transport() = default;
+    // Before the dispatchers spawn (udp: spawns the readers).
+    virtual void start() {}
+    // Carries one message from `from` toward its receiver. Runs on the
+    // sender's dispatcher thread; `item` carries everything but `due`.
+    virtual void send(std::size_t from, std::size_t out_index,
+                      MailItem item) = 0;
+    // A kTransportTimerId item popped from `index`'s mailbox, on its
+    // dispatcher thread.
+    virtual void on_timer(std::size_t index, std::uint64_t tag) {
+      (void)index;
+      (void)tag;
+    }
+    // Stops and joins whatever the transport runs beside the dispatchers;
+    // called before the mailboxes close, so nothing pushes after it.
+    virtual void stop() {}
+    // Adds the transport's own metric rows.
+    virtual void add_metrics(MetricsSnapshot& snap) const { (void)snap; }
+  };
+  class InProcessTransport;
+  class UdpTransport;  // runtime/udp_transport.cpp
+
+  // Mailbox timer_id sentinels (user timers are nonnegative): the local
+  // tick generator, and a transport's own timer (udp: ARQ retransmission),
+  // which the dispatcher hands to Transport::on_timer.
+  static constexpr std::int64_t kTickTimerId = -1;
+  static constexpr std::int64_t kTransportTimerId = -2;
+
   struct Slot {
     NodePtr node;
     std::unique_ptr<Mailbox> mailbox;
     std::unique_ptr<ThreadContext> context;
-    std::thread thread;
+    std::thread dispatcher;
     Rng rng;
     double clock_rate = 1.0;
     // Trace id of the event this node's thread is currently handling (-1
@@ -157,7 +231,11 @@ class ThreadNetwork {
     std::atomic<std::uint64_t> handler_ns{0};
   };
 
-  void thread_main(std::size_t index);
+  static std::unique_ptr<Transport> make_udp_transport(ThreadNetwork& net);
+  void dispatcher_main(std::size_t index);
+  // The shared half of Context::send: SEND record, unreliable loss coin,
+  // delay draw, then the transport.
+  void send(std::size_t from, std::size_t out_index, PayloadPtr payload);
   // Wakes wait_until/wait_quiescent callers after a state change.
   void signal_progress() EXCLUDES(progress_mutex_);
   MailItem::Clock::time_point sim_to_wall(double sim_delay_from_now) const;
@@ -179,6 +257,7 @@ class ThreadNetwork {
   std::vector<std::vector<std::size_t>> out_channels_;
   std::vector<std::vector<std::size_t>> in_channels_;
   std::vector<std::size_t> in_index_of_edge_;
+  std::unique_ptr<Transport> transport_;
   MailItem::Clock::time_point start_time_{};
   std::atomic<std::uint64_t> messages_sent_{0};
   std::atomic<std::uint64_t> messages_delivered_{0};

@@ -4,7 +4,7 @@
 // datagram the udp runtime moves goes through this class.
 //
 // Scope is deliberately narrow: IPv4 loopback only, ephemeral ports,
-// datagrams up to a small fixed header size (runtime/udp_runtime.cpp keeps
+// datagrams up to a small fixed header size (runtime/udp_transport.cpp keeps
 // payload objects in-process and ships headers only). The runtime stops its
 // reader threads with shutdown_read(), which wakes a blocked receive() at
 // once and makes every later call return at once, so shutdown needs no

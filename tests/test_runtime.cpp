@@ -1,7 +1,9 @@
-// Tests for the real-thread runtime: mailbox semantics, end-to-end threaded
-// elections (the "threads and queues" realisation of the ABE model), thread
-// failure injection, condition-variable wakeups, and the cross-runtime
-// parity suite over the unified Runtime contract (runtime/runtime.h).
+// Tests for the real-time runtime: mailbox semantics, end-to-end threaded
+// elections (the "threads and queues" realisation of the ABE model), the
+// shared dispatcher's failure injection, condition-variable wakeups and
+// config checks on both transports (in-process and udp), and the
+// cross-runtime parity suite over the unified Runtime contract
+// (runtime/runtime.h).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -145,11 +147,25 @@ TEST(ThreadNet, LargerRingStillElects) {
   EXPECT_TRUE(result.safety_ok);
 }
 
+// The shared dispatcher tests below run once per transport.
+struct TransportCase {
+  TransportKind kind;
+  const char* runtime_name;  // as check messages name the substrate
+};
+constexpr TransportCase kTransports[] = {
+    {TransportKind::kInProcess, "thread runtime"},
+    {TransportKind::kUdp, "udp runtime"},
+};
+
 TEST(ThreadNet, PiecewiseDriftRejected) {
-  ThreadNetConfig config;
-  config.topology = unidirectional_ring(3);
-  config.drift = DriftModel::kPiecewiseRandom;
-  EXPECT_DEATH(ThreadNetwork net(std::move(config)), "thread runtime");
+  for (const TransportCase& transport : kTransports) {
+    SCOPED_TRACE(transport.runtime_name);
+    ThreadNetConfig config;
+    config.topology = unidirectional_ring(3);
+    config.drift = DriftModel::kPiecewiseRandom;
+    config.transport = transport.kind;
+    EXPECT_DEATH(ThreadNetwork net(std::move(config)), transport.runtime_name);
+  }
 }
 
 // Simulator-vs-thread parity smoke (ROADMAP "thread runtime parity"): the
@@ -205,47 +221,55 @@ class TimerTerminator final : public Node {
   bool done_ = false;
 };
 
-ThreadNetConfig two_node_config(double time_scale_us = 1000.0) {
+ThreadNetConfig two_node_config(TransportKind transport,
+                                double time_scale_us = 1000.0) {
   ThreadNetConfig config;
   config.topology = bidirectional_ring(2);
   config.time_scale_us = time_scale_us;
   config.drift = DriftModel::kNone;
+  config.transport = transport;
   return config;
 }
 
 TEST(ThreadNet, WaitUntilAlreadyTruePredicateReturnsImmediately) {
-  ThreadNetwork net(two_node_config());
-  net.build_nodes([](std::size_t) -> NodePtr {
-    return std::make_unique<TimerTerminator>(1e9);
-  });
-  net.start();
-  const auto start = MailItem::Clock::now();
-  EXPECT_TRUE(net.wait_until([] { return true; },
-                             std::chrono::milliseconds(60000)));
-  const auto waited = std::chrono::duration_cast<std::chrono::milliseconds>(
-      MailItem::Clock::now() - start);
-  EXPECT_LT(waited.count(), 1000);
+  for (const TransportCase& transport : kTransports) {
+    SCOPED_TRACE(transport.runtime_name);
+    ThreadNetwork net(two_node_config(transport.kind));
+    net.build_nodes([](std::size_t) -> NodePtr {
+      return std::make_unique<TimerTerminator>(1e9);
+    });
+    net.start();
+    const auto start = MailItem::Clock::now();
+    EXPECT_TRUE(net.wait_until([] { return true; },
+                               std::chrono::milliseconds(60000)));
+    const auto waited = std::chrono::duration_cast<std::chrono::milliseconds>(
+        MailItem::Clock::now() - start);
+    EXPECT_LT(waited.count(), 1000);
+  }
 }
 
 // The regression the condition variable fixes: a predicate satisfied by a
 // node event must wake the waiter promptly, not after the wall timeout.
 TEST(ThreadNet, WaitUntilSatisfiedMidWaitReturnsPromptly) {
-  ThreadNetwork net(two_node_config());
-  net.build_nodes([](std::size_t) -> NodePtr {
-    // Timer fires at ~50 ms wall (50 sim units at 1000 us/unit).
-    return std::make_unique<TimerTerminator>(50.0);
-  });
-  net.start();
-  const auto start = MailItem::Clock::now();
-  const bool held = net.wait_until(
-      [&] { return net.terminated(0) && net.terminated(1); },
-      std::chrono::milliseconds(60000));
-  const auto waited = std::chrono::duration_cast<std::chrono::milliseconds>(
-      MailItem::Clock::now() - start);
-  EXPECT_TRUE(held);
-  // Generous bound — the point is "well under the 60 s timeout", immune to
-  // CI scheduling noise.
-  EXPECT_LT(waited.count(), 5000);
+  for (const TransportCase& transport : kTransports) {
+    SCOPED_TRACE(transport.runtime_name);
+    ThreadNetwork net(two_node_config(transport.kind));
+    net.build_nodes([](std::size_t) -> NodePtr {
+      // Timer fires at ~50 ms wall (50 sim units at 1000 us/unit).
+      return std::make_unique<TimerTerminator>(50.0);
+    });
+    net.start();
+    const auto start = MailItem::Clock::now();
+    const bool held = net.wait_until(
+        [&] { return net.terminated(0) && net.terminated(1); },
+        std::chrono::milliseconds(60000));
+    const auto waited = std::chrono::duration_cast<std::chrono::milliseconds>(
+        MailItem::Clock::now() - start);
+    EXPECT_TRUE(held);
+    // Generous bound — the point is "well under the 60 s timeout", immune
+    // to CI scheduling noise.
+    EXPECT_LT(waited.count(), 5000);
+  }
 }
 
 // ---------------------------------------------------------------------
@@ -267,22 +291,26 @@ class Flooder final : public Node {
 };
 
 TEST(ThreadNet, LossInjectionCountsDropsAndConservesMessages) {
-  ThreadNetConfig config = two_node_config(/*time_scale_us=*/100.0);
-  config.loss_probability = 0.3;
-  config.delay = fixed_delay(0.1);
-  ThreadNetwork net(std::move(config));
-  net.build_nodes([](std::size_t i) -> NodePtr {
-    return std::make_unique<Flooder>(i == 0 ? 400 : 0);
-  });
-  net.start();
-  ASSERT_TRUE(net.wait_quiescent(std::chrono::milliseconds(10000)));
-  net.stop();
+  for (const TransportCase& transport : kTransports) {
+    SCOPED_TRACE(transport.runtime_name);
+    ThreadNetConfig config =
+        two_node_config(transport.kind, /*time_scale_us=*/100.0);
+    config.loss_probability = 0.3;
+    config.delay = fixed_delay(0.1);
+    ThreadNetwork net(std::move(config));
+    net.build_nodes([](std::size_t i) -> NodePtr {
+      return std::make_unique<Flooder>(i == 0 ? 400 : 0);
+    });
+    net.start();
+    ASSERT_TRUE(net.wait_quiescent(std::chrono::milliseconds(10000)));
+    net.stop();
 
-  EXPECT_EQ(net.messages_sent(), 400u);
-  EXPECT_GT(net.messages_dropped(), 0u) << "p=0.3 over 400 sends";
-  EXPECT_LT(net.messages_dropped(), 400u);
-  EXPECT_EQ(net.messages_sent(),
-            net.messages_delivered() + net.messages_dropped());
+    EXPECT_EQ(net.messages_sent(), 400u);
+    EXPECT_GT(net.messages_dropped(), 0u) << "p=0.3 over 400 sends";
+    EXPECT_LT(net.messages_dropped(), 400u);
+    EXPECT_EQ(net.messages_sent(),
+              net.messages_delivered() + net.messages_dropped());
+  }
 }
 
 // ---------------------------------------------------------------------

@@ -1,8 +1,10 @@
-// Tests for the real-socket runtime (runtime/udp_runtime.h): the UdpSocket
-// wrapper and its read-side shutdown, datagram elections through the
-// scenario driver stack, prompt runtime stop, the ARQ reliable layer under
-// injected per-attempt loss (exactly-once delivery), the measured-transit
-// histogram, and the measured-delay -> DelayModel calibration path.
+// Tests for the real-socket runtime (the udp transport of
+// runtime/thread_net.h, runtime/udp_transport.h): the UdpSocket wrapper and
+// its read-side shutdown, datagram elections through the scenario driver
+// stack, prompt runtime stop, the ARQ reliable layer under injected
+// per-attempt loss (exactly-once delivery), each transport's harvested
+// metric names, the measured-transit histogram, and the measured-delay ->
+// DelayModel calibration path.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,8 +21,9 @@
 #include "net/topology.h"
 #include "obs/metrics.h"
 #include "runtime/runtime.h"
-#include "runtime/udp_runtime.h"
+#include "runtime/thread_net.h"
 #include "runtime/udp_socket.h"
+#include "runtime/udp_transport.h"
 #include "scenario/drivers.h"
 #include "scenario/scenario.h"
 #include "scenario/sweep.h"
@@ -200,14 +203,15 @@ class CountingSink final : public Node {
 
 TEST(UdpNet, ArqOverRealLossDeliversExactlyOnce) {
   constexpr std::uint64_t kMessages = 300;
-  UdpNetConfig config;
+  ThreadNetConfig config;
   config.topology = unidirectional_ring(2);
   config.delay = fixed_delay(0.05);
   config.time_scale_us = 100.0;
   config.loss_probability = 0.3;  // drawn per ATTEMPT, masked by ARQ
+  config.transport = TransportKind::kUdp;
   config.reliable = true;
   config.seed = 3;  // pinned: the attempt-loss coin sequence is replayable
-  UdpNetwork net(std::move(config));
+  ThreadNetwork net(std::move(config));
   net.build_nodes([&](std::size_t i) -> NodePtr {
     if (i == 0) return std::make_unique<Burster>(kMessages);
     return std::make_unique<CountingSink>();
@@ -238,6 +242,69 @@ TEST(UdpNet, ArqOverRealLossDeliversExactlyOnce) {
   }
   EXPECT_GT(attempt_drops, 0.0);
   EXPECT_GT(retransmits, 0.0);
+}
+
+// ---------------------------------------------------------------------
+// Harvested metric names: each transport reports under its own prefix, and
+// trialbench/main.cpp reads the udp rows by name.
+
+std::vector<std::string> harvested_names(TransportKind transport,
+                                         bool reliable) {
+  ThreadNetConfig config;
+  config.topology = unidirectional_ring(2);
+  config.delay = fixed_delay(0.05);
+  config.time_scale_us = 100.0;
+  config.transport = transport;
+  config.reliable = reliable;
+  ThreadNetwork net(std::move(config));
+  net.build_nodes([](std::size_t i) -> NodePtr {
+    if (i == 0) return std::make_unique<Burster>(4);
+    return std::make_unique<CountingSink>();
+  });
+  net.start();
+  EXPECT_TRUE(net.wait_quiescent(std::chrono::milliseconds(10000)));
+  net.stop();
+  const MetricsSnapshot snapshot = net.metrics_snapshot();
+  std::vector<std::string> names;
+  for (const MetricValue& entry : snapshot.entries()) {
+    names.push_back(entry.name);
+  }
+  return names;
+}
+
+bool has_name(const std::vector<std::string>& names, const std::string& name) {
+  return std::find(names.begin(), names.end(), name) != names.end();
+}
+
+bool has_prefix(const std::vector<std::string>& names,
+                const std::string& prefix) {
+  return std::any_of(names.begin(), names.end(), [&](const std::string& n) {
+    return n.compare(0, prefix.size(), prefix) == 0;
+  });
+}
+
+TEST(UdpNet, HarvestedMetricNamesPerTransport) {
+  const std::vector<std::string> thread =
+      harvested_names(TransportKind::kInProcess, /*reliable=*/false);
+  EXPECT_TRUE(has_name(thread, "net.sent"));
+  EXPECT_TRUE(has_name(thread, "thread.cv_wakeups"));
+  EXPECT_TRUE(has_name(thread, "thread.mailbox_high_water"));
+  EXPECT_FALSE(has_prefix(thread, "udp."));
+  EXPECT_FALSE(has_prefix(thread, "arq."));
+
+  for (const bool reliable : {false, true}) {
+    SCOPED_TRACE(reliable ? "udp reliable" : "udp unreliable");
+    const std::vector<std::string> udp =
+        harvested_names(TransportKind::kUdp, reliable);
+    EXPECT_TRUE(has_name(udp, "net.sent"));
+    for (const char* name : {"udp.cv_wakeups", "udp.mailbox_high_water",
+                             "udp.datagrams_tx", "udp.retransmits",
+                             "udp.transit_us"}) {
+      EXPECT_TRUE(has_name(udp, name)) << name;
+    }
+    EXPECT_EQ(has_name(udp, "arq.rtt"), reliable);
+    EXPECT_FALSE(has_prefix(udp, "thread."));
+  }
 }
 
 // ---------------------------------------------------------------------
@@ -304,10 +371,11 @@ TEST(UdpNet, OverSocketBudgetCellIsRejectedStructurally) {
 }
 
 TEST(UdpNet, PiecewiseDriftRejected) {
-  UdpNetConfig config;
+  ThreadNetConfig config;
   config.topology = unidirectional_ring(3);
   config.drift = DriftModel::kPiecewiseRandom;
-  EXPECT_DEATH(UdpNetwork net(std::move(config)), "udp runtime");
+  config.transport = TransportKind::kUdp;
+  EXPECT_DEATH(ThreadNetwork net(std::move(config)), "udp runtime");
 }
 
 TEST(UdpNet, ArqSuffixAppearsOnlyOnReliableUdpCells) {
