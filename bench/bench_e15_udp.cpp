@@ -89,15 +89,15 @@ struct ArqRun {
 // One reliable two-node burst under per-attempt loss `loss`: wall time
 // from start() to quiescence (every message ACKed and handled).
 ArqRun arq_burst(double loss, std::uint64_t messages, std::uint64_t seed) {
-  ThreadNetConfig config;
+  RuntimeConfig config;
   config.topology = unidirectional_ring(2);
   config.delay = fixed_delay(0.05);
+  config.drift = DriftModel::kFixedRandomRate;
   config.time_scale_us = 50.0;
   config.loss_probability = loss;
-  config.transport = TransportKind::kUdp;
-  config.reliable = true;
+  config.udp_reliable = true;
   config.seed = seed;
-  ThreadNetwork net(std::move(config));
+  ThreadNetwork net(RuntimeKind::kUdp, std::move(config));
   net.build_nodes([&](std::size_t i) -> NodePtr {
     if (i == 0) return std::make_unique<Burster>(messages);
     return std::make_unique<Sink>();

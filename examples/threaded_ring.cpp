@@ -6,14 +6,15 @@
 // realised as wall-clock due times sampled from the same exponential model.
 // The identical ElectionNode code that runs on the discrete-event simulator
 // runs here unchanged — a fidelity check that nothing in the results depends
-// on simulator artefacts. Since the Runtime redesign the harness below is a
-// thin shim over the unified contract: the ring-election AlgorithmDriver
-// (core/harness.h) executed by ThreadRuntime (runtime/runtime.h), with
-// optional failure injection (--loss) that the thread runtime now honors
-// and counts.
+// on simulator artefacts. The run is the unified Runtime contract: the
+// ring-election AlgorithmDriver (core/harness.h) executed by ThreadRuntime
+// (runtime/runtime.h), with optional failure injection (--loss) that the
+// thread runtime honors and counts.
 #include <cstdio>
+#include <utility>
 
 #include "core/election.h"
+#include "core/harness.h"
 #include "runtime/runtime.h"
 #include "util/cli.h"
 
@@ -41,21 +42,33 @@ int main(int argc, char** argv) {
               n, a0, scale_us,
               loss > 0.0 ? " (lossy channels)" : "");
 
-  const auto result = abe::run_threaded_election(
-      n, a0, /*mean_delay=*/1.0, seed, scale_us,
-      std::chrono::milliseconds(30000), abe::ClockBounds{}, loss);
+  abe::ElectionExperiment experiment;
+  experiment.n = n;
+  experiment.election.a0 = a0;
+  experiment.drift = abe::DriftModel::kFixedRandomRate;
+  experiment.loss_probability = loss;
+  experiment.seed = seed;
+  // A positive settle time realises ThreadRuntime::run_for's 100 ms floor:
+  // the window in which a second leader would show.
+  experiment.settle_time = 1.0;
+  abe::RuntimeConfig config = abe::election_runtime_config(experiment);
+  config.time_scale_us = scale_us;
+  abe::ElectionRunResult result;
+  const auto driver = abe::make_ring_election_driver(experiment, &result);
+  abe::run_algorithm_trial(abe::RuntimeKind::kThread, std::move(config),
+                           *driver);
 
   if (!result.elected) {
     std::printf("no leader within the wall-clock budget (%llu messages "
                 "sent by ~t=%.1f)\n",
                 static_cast<unsigned long long>(result.messages),
-                result.election_time_sim);
+                result.election_time);
     return 1;
   }
   std::printf("leader: node %zu after ~%.1f sim units (wall time), "
               "%llu messages\n",
-              result.leader_index, result.election_time_sim,
-              static_cast<unsigned long long>(result.messages));
+              result.leader_index, result.election_time,
+              static_cast<unsigned long long>(result.messages_total));
   std::printf("safety: %s\n", result.safety_ok
                                   ? "exactly one leader, others passive"
                                   : "VIOLATED");

@@ -50,7 +50,7 @@ std::string ChangRobertsNode::state_string() const {
 
 CrResult run_chang_roberts(const CrExperiment& experiment) {
   ABE_CHECK_GE(experiment.n, 1u);
-  NetworkConfig config;
+  RuntimeConfig config;
   config.topology = unidirectional_ring(experiment.n);
   config.delay = make_delay_model(experiment.delay_name,
                                   experiment.mean_delay);

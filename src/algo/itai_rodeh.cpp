@@ -93,7 +93,7 @@ std::string ItaiRodehNode::state_string() const {
 
 IrResult run_itai_rodeh(const IrExperiment& experiment) {
   ABE_CHECK_GE(experiment.n, 1u);
-  NetworkConfig config;
+  RuntimeConfig config;
   config.topology = unidirectional_ring(experiment.n);
   config.delay = make_delay_model(experiment.delay_name,
                                   experiment.mean_delay);

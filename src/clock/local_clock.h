@@ -41,6 +41,9 @@ enum class DriftModel : std::uint8_t {
 
 const char* drift_model_name(DriftModel model);
 
+// Expected real length of one constant-rate segment under kPiecewiseRandom.
+constexpr double kClockSegmentMean = 10.0;
+
 // Monotone map between real simulated time and one node's local time.
 // Built lazily: segments are appended as real time advances.
 class LocalClock {
@@ -48,7 +51,7 @@ class LocalClock {
   // `rng` seeds the per-clock rate draws; `segment_mean` is the expected real
   // length of a constant-rate segment for kPiecewiseRandom.
   LocalClock(ClockBounds bounds, DriftModel model, Rng rng,
-             double segment_mean = 10.0);
+             double segment_mean = kClockSegmentMean);
 
   const ClockBounds& bounds() const { return bounds_; }
   DriftModel model() const { return model_; }

@@ -75,7 +75,7 @@ AnnouncedElectionResult run_announced_election(std::size_t n, double a0,
                                                const std::string& delay_name,
                                                SimTime deadline) {
   ABE_CHECK_GE(n, 1u);
-  NetworkConfig config;
+  RuntimeConfig config;
   config.topology = unidirectional_ring(n);
   config.delay = make_delay_model(delay_name, 1.0);
   config.enable_ticks = true;

@@ -112,7 +112,7 @@ class RingElectionDriver final : public AlgorithmDriver {
           return out;
         }
       }
-      if (rt.kind() == RuntimeKind::kThread) {
+      if (rt.kind() != RuntimeKind::kSim) {
         // Wall-clock timeouts are diagnosed post mortem ("how far did it
         // get before the budget expired?"), so report the progress
         // counters; the simulator keeps the historical zeros — failed

@@ -98,7 +98,7 @@ ArqResult run_arq_experiment(double p_success, std::uint64_t packets,
                              double slot, std::uint64_t seed) {
   ABE_CHECK_GT(p_success, 0.0);
   ABE_CHECK_LE(p_success, 1.0);
-  NetworkConfig config;
+  RuntimeConfig config;
   config.topology = line(2);  // edges: 0->1 (data), 1->0 (ack)
   config.delay = fixed_delay(slot / 2.0);  // one-way; round trip = slot
   config.ordering = ChannelOrdering::kFifo;

@@ -9,38 +9,6 @@
 
 namespace abe {
 
-const char* channel_ordering_name(ChannelOrdering o) {
-  switch (o) {
-    case ChannelOrdering::kFifo:
-      return "fifo";
-    case ChannelOrdering::kArbitrary:
-      return "arbitrary";
-  }
-  return "?";
-}
-
-const char* tick_phase_name(TickPhase p) {
-  switch (p) {
-    case TickPhase::kRandomPerNode:
-      return "random";
-    case TickPhase::kAligned:
-      return "aligned";
-  }
-  return "?";
-}
-
-double ProcessingModel::sample(Rng& rng) const {
-  switch (kind) {
-    case Kind::kZero:
-      return 0.0;
-    case Kind::kFixed:
-      return mean;
-    case Kind::kExponential:
-      return mean > 0.0 ? rng.exponential(mean) : 0.0;
-  }
-  return 0.0;
-}
-
 // Per-node Context implementation; a thin forwarding shim into the Network.
 class Network::ContextImpl final : public Context {
  public:
@@ -85,20 +53,11 @@ class Network::ContextImpl final : public Context {
   std::size_t index_;
 };
 
-Network::Network(NetworkConfig config)
-    : config_(std::move(config)),
+Network::Network(RuntimeConfig config)
+    : config_(validate(RuntimeKind::kSim, std::move(config))),
       root_rng_(config_.seed),
       channel_rng_(root_rng_.substream("channels")) {
-  validate_topology(config_.topology);
-  config_.clock_bounds.validate();
-  if (!config_.delay) {
-    config_.delay = exponential_delay(1.0);
-  }
-  ABE_CHECK_GE(config_.loss_probability, 0.0);
-  ABE_CHECK_LT(config_.loss_probability, 1.0)
-      << "loss probability 1 would never deliver";
-  ABE_CHECK_GT(config_.tick_local_period, 0.0);
-  ABE_CHECK_GE(config_.timeseries_interval, 0.0);
+  if (config_.trace) trace_.enable();
   if (config_.causal_history) {
     // Capacity and full mode are independent knobs: this keeps records lite
     // (numeric, allocation-free) but retains enough of them for causal
@@ -145,8 +104,7 @@ Network::Network(NetworkConfig config)
   for (std::size_t i = 0; i < n; ++i) {
     slots_[i].rng = root_rng_.substream("node", i);
     slots_[i].clock = std::make_unique<LocalClock>(
-        config_.clock_bounds, config_.drift, root_rng_.substream("clock", i),
-        config_.clock_segment_mean);
+        config_.clock_bounds, config_.drift, root_rng_.substream("clock", i));
     slots_[i].context = std::make_unique<ContextImpl>(this, i);
     if (config_.tick_phase == TickPhase::kRandomPerNode) {
       slots_[i].tick_phase = root_rng_.substream("tick-phase", i).uniform01() *
@@ -160,13 +118,9 @@ Network::~Network() = default;
 void Network::add_node(NodePtr node) {
   ABE_CHECK(!started_) << "nodes must be added before start()";
   ABE_CHECK(static_cast<bool>(node));
-  for (auto& slot : slots_) {
-    if (!slot.node) {
-      slot.node = std::move(node);
-      return;
-    }
-  }
-  ABE_CHECK(false) << "more nodes than topology slots (" << size() << ")";
+  ABE_CHECK_LT(installed_, slots_.size())
+      << "more nodes than topology slots (" << size() << ")";
+  slots_[installed_++].node = std::move(node);
 }
 
 void Network::build_nodes(const std::function<NodePtr(std::size_t)>& factory) {

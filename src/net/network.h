@@ -1,15 +1,17 @@
-// The discrete-event network runtime implementing the ABE model.
+// The discrete-event network: the simulator substrate of the ABE model.
 //
-// A Network instance owns the scheduler, per-node drifting clocks, channels
-// with stochastic delay, the per-event processing-delay model, and metrics.
-// It implements Definition 1 of the paper directly:
+// A Network owns the scheduler, per-node drifting clocks, channels with
+// stochastic delay, the per-event processing-delay model, and metrics. It
+// takes the one environment struct every substrate shares, RuntimeConfig
+// (net/runtime_config.h), and implements Definition 1 of the paper directly:
 //   (1) channel delays come from a DelayModel whose mean is known (δ);
 //   (2) each node's clock rate stays within [s_low, s_high];
 //   (3) handling a delivered message occupies the node for a random
 //       processing time with known expected bound (γ).
 // Setting a FixedDelay model, ideal clocks, and zero processing recovers the
 // classic ABD model; an exponential/Lomax delay gives a genuine ABE network
-// where no worst-case delay bound exists.
+// where no worst-case delay bound exists. The real-time fields of the config
+// (time_scale_us, wall_timeout_ms, udp_reliable) are ignored here.
 #pragma once
 
 #include <cstdint>
@@ -20,6 +22,7 @@
 #include "clock/local_clock.h"
 #include "net/delay.h"
 #include "net/node.h"
+#include "net/runtime_config.h"
 #include "net/topology.h"
 #include "obs/metrics.h"
 #include "obs/timeseries.h"
@@ -27,93 +30,6 @@
 #include "trace/trace.h"
 
 namespace abe {
-
-// Delivery order within one channel.
-enum class ChannelOrdering : std::uint8_t {
-  kFifo,       // messages arrive in send order
-  kArbitrary,  // independent delays; messages may overtake (paper's setting)
-};
-
-const char* channel_ordering_name(ChannelOrdering o);
-
-// Initial phase of each node's tick train (see NetworkConfig::tick_phase).
-enum class TickPhase : std::uint8_t {
-  kRandomPerNode,  // phase ~ U[0, tick_local_period) per node (asynchronous)
-  kAligned,        // phase 0 everywhere (lockstep when clocks are ideal)
-};
-
-const char* tick_phase_name(TickPhase p);
-
-// Definition 1(3): time a node is busy handling one delivered message.
-struct ProcessingModel {
-  enum class Kind : std::uint8_t { kZero, kFixed, kExponential };
-  Kind kind = Kind::kZero;
-  double mean = 0.0;
-
-  double sample(Rng& rng) const;
-
-  static ProcessingModel zero() { return {Kind::kZero, 0.0}; }
-  static ProcessingModel fixed(double t) { return {Kind::kFixed, t}; }
-  static ProcessingModel exponential(double mean) {
-    return {Kind::kExponential, mean};
-  }
-};
-
-struct NetworkConfig {
-  Topology topology;
-  // Delay model applied to every channel (per-channel overrides below).
-  DelayModelPtr delay;
-  // When set, every message's delay is chosen by the adversary instead of
-  // sampled from `delay` (net/delay.h; build via make_bounded_adversary so
-  // the ABE per-channel mean bound is enforced). nullptr keeps the honest
-  // sampling path untouched — no extra RNG draws, bit-identical runs.
-  AdversaryPolicyPtr adversary_delay;
-  ChannelOrdering ordering = ChannelOrdering::kArbitrary;
-  // Clock model (Definition 1(2)).
-  ClockBounds clock_bounds{};
-  DriftModel drift = DriftModel::kNone;
-  double clock_segment_mean = 10.0;
-  // Processing model (Definition 1(3)).
-  ProcessingModel processing = ProcessingModel::zero();
-  // Tick generation: when enabled, each node has a train of local ticks,
-  // tick k due at local time phase + k·tick_local_period. The simulator
-  // keeps at most one pending tick event per node and fires only the ticks
-  // the node asks for (Node::next_tick_of_interest); nodes that do not
-  // override that hook get every tick. A node's train stops once it
-  // reports is_terminated() after a tick. A skipped tick due at the very
-  // instant a message reaches its node counts as elapsed; only such exact
-  // ties (kAligned phases with lattice delays) can make sparse delivery
-  // differ from dense delivery.
-  bool enable_ticks = false;
-  double tick_local_period = 1.0;
-  // Nodes in an asynchronous network share no time origin, so by default
-  // every node draws its tick phase uniformly in [0, tick_local_period).
-  // kAligned pins all phases to 0: with ideal clocks every node then ticks
-  // at the very same instants — a degenerate lockstep regime the ABE model
-  // never promises. Under a fixed (ABD) delay that regime makes symmetric
-  // election rounds self-repeat (simultaneous activations knock each other
-  // out over and over), which is why kRandomPerNode is the default; keep
-  // kAligned only for tests that pin exact tick times.
-  TickPhase tick_phase = TickPhase::kRandomPerNode;
-  // Per-attempt silent drop probability (for the lossy-link/ARQ substrate;
-  // plain ABE networks keep this at 0 — the model requires delivery).
-  double loss_probability = 0.0;
-  // Root seed; all stochastic behaviour derives from it.
-  std::uint64_t seed = 1;
-  // Extended observability (obs/metrics.h): per-channel deliver/drop
-  // vectors and a sampled channel-delay histogram, harvested by
-  // metrics_snapshot(). Off by default; recording consumes no randomness
-  // and reorders nothing, so enabling it cannot change any aggregate.
-  bool metrics = false;
-  // Causal-history mode: widen the flight-recorder ring to full capacity
-  // WITHOUT enabling detail strings, so cause chains (obs/causal.h) reach
-  // back to their roots while records stay allocation-free. Like `metrics`,
-  // this draws no randomness and reorders nothing.
-  bool causal_history = false;
-  // Time-series telemetry (obs/timeseries.h): sample load gauges every this
-  // many units of SIM time during run_until(). 0 disables (the default).
-  double timeseries_interval = 0.0;
-};
 
 struct NetworkMetrics {
   std::uint64_t messages_sent = 0;
@@ -138,7 +54,7 @@ struct NetworkMetrics {
 
 class Network {
  public:
-  explicit Network(NetworkConfig config);
+  explicit Network(RuntimeConfig config);
   ~Network();
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
@@ -176,7 +92,7 @@ class Network {
   Node& node(std::size_t i);
   const Node& node(std::size_t i) const;
   const Topology& topology() const { return config_.topology; }
-  const NetworkConfig& config() const { return config_; }
+  const RuntimeConfig& config() const { return config_; }
   const NetworkMetrics& metrics() const { return metrics_; }
   LocalClock& clock(std::size_t i);
   Trace& trace() { return trace_; }
@@ -239,7 +155,7 @@ class Network {
                     std::uint64_t tag);
   bool cancel_timer_impl(TimerId id);
 
-  NetworkConfig config_;
+  RuntimeConfig config_;
   Scheduler scheduler_;
   Rng root_rng_;
   Rng channel_rng_;
@@ -268,6 +184,7 @@ class Network {
   // Time-series sampling state: next sim-time grid point to sample.
   TimeSeries timeseries_;
   SimTime next_sample_ = 0.0;
+  std::size_t installed_ = 0;  // nodes added so far: the next free slot
   bool started_ = false;
 };
 

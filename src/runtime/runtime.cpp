@@ -4,60 +4,12 @@
 #include <thread>
 #include <utility>
 
-#include "core/harness.h"
 #include "util/check.h"
 
 namespace abe {
 
-const char* runtime_kind_name(RuntimeKind kind) {
-  switch (kind) {
-    case RuntimeKind::kSim:
-      return "sim";
-    case RuntimeKind::kThread:
-      return "thread";
-    case RuntimeKind::kUdp:
-      return "udp";
-  }
-  return "?";
-}
-
-bool runtime_kind_from_name(const std::string& name, RuntimeKind* out) {
-  for (RuntimeKind kind :
-       {RuntimeKind::kSim, RuntimeKind::kThread, RuntimeKind::kUdp}) {
-    if (name == runtime_kind_name(kind)) {
-      *out = kind;
-      return true;
-    }
-  }
-  return false;
-}
-
 // ---------------------------------------------------------------------------
 // SimRuntime
-
-NetworkConfig SimRuntime::to_network_config(RuntimeConfig config) {
-  NetworkConfig net;
-  net.topology = std::move(config.topology);
-  net.delay = std::move(config.delay);
-  net.adversary_delay = std::move(config.adversary_delay);
-  net.ordering = config.ordering;
-  net.clock_bounds = config.clock_bounds;
-  net.drift = config.drift;
-  net.processing = config.processing;
-  net.enable_ticks = config.enable_ticks;
-  net.tick_local_period = config.tick_local_period;
-  net.loss_probability = config.loss_probability;
-  net.seed = config.seed;
-  net.metrics = config.metrics;
-  net.causal_history = config.causal_history;
-  net.timeseries_interval = config.timeseries_interval;
-  return net;
-}
-
-SimRuntime::SimRuntime(RuntimeConfig config)
-    : trace_(config.trace), net_(to_network_config(std::move(config))) {
-  if (trace_) net_.trace().enable();
-}
 
 void SimRuntime::build_nodes(
     const std::function<NodePtr(std::size_t)>& factory) {
@@ -105,49 +57,6 @@ RunStats SimRuntime::stats() const {
 // ---------------------------------------------------------------------------
 // ThreadRuntime
 
-ThreadNetConfig ThreadRuntime::to_thread_config(RuntimeKind kind,
-                                                const RuntimeConfig& config) {
-  ThreadNetConfig net;
-  if (kind == RuntimeKind::kUdp) {
-    ABE_CHECK_LE(config.topology.n, kMaxUdpRuntimeNodes)
-        << "udp runtime opens one loopback socket and two OS threads per "
-           "node";
-    net.transport = TransportKind::kUdp;
-    net.reliable = config.udp_reliable;
-  } else {
-    ABE_CHECK(kind == RuntimeKind::kThread) << "not a real-time runtime kind";
-    ABE_CHECK_LE(config.topology.n, kMaxThreadRuntimeNodes)
-        << "thread runtime spawns one OS thread per node";
-  }
-  net.topology = config.topology;
-  net.delay = config.delay;
-  net.adversary_delay = config.adversary_delay;
-  net.time_scale_us = config.time_scale_us;
-  net.clock_bounds = config.clock_bounds;
-  net.drift = config.drift;
-  net.processing = config.processing;
-  net.loss_probability = config.loss_probability;
-  net.enable_ticks = config.enable_ticks;
-  net.tick_local_period = config.tick_local_period;
-  net.seed = config.seed;
-  net.trace = config.trace;
-  net.metrics = config.metrics;
-  net.causal_history = config.causal_history;
-  return net;
-}
-
-ThreadRuntime::ThreadRuntime(RuntimeKind kind, RuntimeConfig config)
-    : time_scale_us_(config.time_scale_us),
-      wall_timeout_ms_(config.wall_timeout_ms),
-      net_(to_thread_config(kind, config)) {
-  ABE_CHECK_GT(wall_timeout_ms_, 0.0);
-}
-
-RuntimeKind ThreadRuntime::kind() const {
-  return net_.transport() == TransportKind::kUdp ? RuntimeKind::kUdp
-                                                 : RuntimeKind::kThread;
-}
-
 void ThreadRuntime::build_nodes(
     const std::function<NodePtr(std::size_t)>& factory) {
   net_.build_nodes(factory);
@@ -161,13 +70,13 @@ void ThreadRuntime::start() {
   // accounting lines up.
   wall_deadline_ =
       net_.start_time() +
-      std::chrono::microseconds(
-          static_cast<std::int64_t>(wall_timeout_ms_ * 1000.0));
+      std::chrono::microseconds(static_cast<std::int64_t>(
+          net_.config().wall_timeout_ms * 1000.0));
   started_ = true;
 }
 
 double ThreadRuntime::remaining_budget_ms() const {
-  if (!started_) return wall_timeout_ms_;
+  if (!started_) return net_.config().wall_timeout_ms;
   const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
       wall_deadline_ - std::chrono::steady_clock::now());
   return std::max<double>(1.0, static_cast<double>(left.count()));
@@ -182,7 +91,7 @@ bool ThreadRuntime::run_until_done(const std::function<bool()>& done,
   double budget_ms = remaining_budget_ms();
   if (deadline < kTimeInfinity) {
     const SimTime sim_left = std::max(0.0, deadline - net_.now_sim());
-    budget_ms = std::min(budget_ms, sim_left * time_scale_us_ / 1000.0);
+    budget_ms = std::min(budget_ms, wall_ms(sim_left));
   }
   return net_.wait_until(
       done, std::chrono::milliseconds(
@@ -194,8 +103,7 @@ void ThreadRuntime::run_for(SimTime duration) {
   // jitter dominates and the requested settle window is not actually
   // realised (in-flight wakeups land later than any sim-unit conversion
   // suggests).
-  const double ms =
-      std::max(kMinSettleWallMs, duration * time_scale_us_ / 1000.0);
+  const double ms = std::max(kMinSettleWallMs, wall_ms(duration));
   std::this_thread::sleep_for(
       std::chrono::milliseconds(static_cast<std::int64_t>(ms)));
 }
@@ -203,7 +111,7 @@ void ThreadRuntime::run_for(SimTime duration) {
 bool ThreadRuntime::drain(SimTime max_wait) {
   double budget_ms = remaining_budget_ms();
   if (max_wait < kTimeInfinity) {
-    budget_ms = std::min(budget_ms, max_wait * time_scale_us_ / 1000.0);
+    budget_ms = std::min(budget_ms, wall_ms(max_wait));
   }
   return net_.wait_quiescent(std::chrono::milliseconds(
       std::max<std::int64_t>(1, static_cast<std::int64_t>(budget_ms))));
@@ -316,43 +224,6 @@ TrialOutcome run_algorithm_trial(RuntimeKind kind, RuntimeConfig config,
     outcome.flight_tail = rt->trace_snapshot().events();
   }
   return outcome;
-}
-
-// ---------------------------------------------------------------------------
-// Threaded election harness (shim over ThreadRuntime + the ring driver)
-
-ThreadedElectionResult run_threaded_election(
-    std::size_t n, double a0, double mean_delay, std::uint64_t seed,
-    double time_scale_us, std::chrono::milliseconds timeout,
-    ClockBounds clock_bounds, double loss_probability) {
-  ElectionExperiment experiment;
-  experiment.n = n;
-  experiment.election.a0 = a0;
-  experiment.delay = exponential_delay(mean_delay);
-  experiment.clock_bounds = clock_bounds;
-  experiment.drift = DriftModel::kFixedRandomRate;
-  experiment.loss_probability = loss_probability;
-  experiment.seed = seed;
-  // The old harness always slept 100 ms before freezing state; a positive
-  // settle_time hits ThreadRuntime::run_for's kMinSettleWallMs floor, which
-  // realises exactly that window.
-  experiment.settle_time = 1.0;
-
-  RuntimeConfig config = election_runtime_config(experiment);
-  config.time_scale_us = time_scale_us;
-  config.wall_timeout_ms = static_cast<double>(timeout.count());
-
-  ElectionRunResult run;
-  const auto driver = make_ring_election_driver(experiment, &run);
-  run_algorithm_trial(RuntimeKind::kThread, std::move(config), *driver);
-
-  ThreadedElectionResult result;
-  result.elected = run.elected;
-  result.leader_index = run.leader_index;
-  result.election_time_sim = run.election_time;
-  result.messages = run.messages_total > 0 ? run.messages_total : run.messages;
-  result.safety_ok = run.safety_ok;
-  return result;
 }
 
 }  // namespace abe

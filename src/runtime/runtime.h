@@ -5,10 +5,10 @@
 // against a real-time execution of the very same algorithm code, on the
 // same scenario matrix. This header is that seam:
 //
-//   * RuntimeConfig — the runtime-agnostic experiment environment (topology,
-//     delay model, clock bounds/drift, processing, failure injection, ticks,
-//     seed) plus the real-time realisation knobs (wall time scale and
-//     budget, the udp ARQ switch);
+//   * RuntimeConfig (net/runtime_config.h) — the one environment struct:
+//     topology, delay model, clock bounds/drift, processing, failure
+//     injection, ticks, seed, plus the fields only one side reads (marked
+//     there). Every substrate takes it as is;
 //   * Runtime — one lifecycle (build nodes → start → run to a completion
 //     predicate or deadline → settle/drain → stop → inspect), implemented by
 //       - SimRuntime    wrapping Scheduler+Network  (net/network.h),
@@ -35,9 +35,11 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "net/network.h"
+#include "net/runtime_config.h"
 #include "obs/causal.h"
 #include "obs/metrics.h"
 #include "obs/timeseries.h"
@@ -45,81 +47,6 @@
 #include "trace/trace.h"
 
 namespace abe {
-
-// ---------------------------------------------------------------------------
-// Runtime axis
-
-enum class RuntimeKind : std::uint8_t {
-  kSim,     // discrete-event simulator (deterministic, any n)
-  kThread,  // one OS thread per node, wall-clock delays (fidelity check)
-  kUdp,     // real loopback UDP datagrams, measured delays (udp_transport.h)
-};
-
-const char* runtime_kind_name(RuntimeKind kind);
-// Non-aborting parse of the names printed by runtime_kind_name; returns
-// false on unknown input (the CLI validation boundary).
-bool runtime_kind_from_name(const std::string& name, RuntimeKind* out);
-
-// ---------------------------------------------------------------------------
-// Configuration
-
-// Everything a runtime needs to realise one trial environment. Field-level
-// comments live with the configs the runtimes build from it (NetworkConfig
-// for the simulator, ThreadNetConfig for the real-time runtimes);
-// substrate-only knobs are marked.
-struct RuntimeConfig {
-  Topology topology;
-  DelayModelPtr delay;  // failure-degrade wrapping already applied
-  // When set, overrides `delay` for every channel: the adversary chooses
-  // each message's delay (stateful, edge-aware) instead of sampling the
-  // model. Build only via make_bounded_adversary (adversary/delay_policy.h),
-  // which enforces the ABE empirical-mean bound per channel. Every runtime
-  // honors it; nullptr keeps the honest sampling path byte-for-byte.
-  AdversaryPolicyPtr adversary_delay;
-  ChannelOrdering ordering = ChannelOrdering::kArbitrary;  // sim only
-  ClockBounds clock_bounds{};
-  DriftModel drift = DriftModel::kNone;
-  ProcessingModel processing = ProcessingModel::zero();
-  bool enable_ticks = false;
-  double tick_local_period = 1.0;
-  // Per-attempt silent drop (FailureProfile::channel_loss). Every runtime
-  // honors it and counts drops in RunStats.messages_dropped (a reliable udp
-  // cell retransmits instead, and counts only give-ups).
-  double loss_probability = 0.0;
-  std::uint64_t seed = 1;
-  // Give up past this simulated time (thread/udp: scaled to a wall budget
-  // and clamped by wall_timeout_ms).
-  SimTime deadline = 1e7;
-  // Full-detail tracing on any substrate (the flight recorder itself is
-  // always on at small capacity; this raises capacity and records payload
-  // strings). See trace/trace.h.
-  bool trace = false;
-  // Extended metrics (delay/RTT histograms, per-node handler timing).
-  // Recording consumes no RNG and never reorders events, so flipping this
-  // cannot change any seeded aggregate. Off by default; scenario sweeps
-  // turn it on.
-  bool metrics = false;
-  // Causal-history mode: widen the always-on flight ring to full capacity
-  // while keeping records lite (no detail strings), so critical-path
-  // chains (obs/causal.h) reach back to their roots instead of truncating
-  // at 256 events. Same no-RNG/no-reorder contract as `metrics`.
-  bool causal_history = false;
-  // Time-series telemetry (obs/timeseries.h): sim-time sampling grid for
-  // load gauges; 0 disables. Simulator only — real-time gauges would be
-  // wall-clock artefacts.
-  double timeseries_interval = 0.0;
-  // --- thread/udp-runtime realisation (ignored by the simulator) ---------
-  double time_scale_us = 200.0;     // wall microseconds per sim unit
-  // Hard per-trial wall budget, counted from start(): run_until_done and
-  // drain share it (a stalled run cannot burn the full budget twice).
-  // Settle windows (run_for) are bounded sleeps on top.
-  double wall_timeout_ms = 30000.0;
-  // --- udp-runtime realisation (ignored elsewhere) -----------------------
-  // The udp transport's own per-channel ARQ: sequence numbers, ACKs,
-  // timeout retransmission, receiver dedup (runtime/udp_transport.h).
-  // Injected loss then degrades goodput instead of dropping messages.
-  bool udp_reliable = false;
-};
 
 // ---------------------------------------------------------------------------
 // Uniform harvest
@@ -267,20 +194,12 @@ class Runtime {
 // Minimum wall window ThreadRuntime::run_for realises (see run_for).
 constexpr double kMinSettleWallMs = 100.0;
 
-// Node cap for the thread runtime: one OS thread per node.
-constexpr std::size_t kMaxThreadRuntimeNodes = 256;
-
-// Node cap for the udp runtime: one loopback socket (fd + ephemeral port)
-// plus TWO OS threads (reader + dispatcher) per node, so its budget is
-// tighter than the thread runtime's.
-constexpr std::size_t kMaxUdpRuntimeNodes = 128;
-
 // ---------------------------------------------------------------------------
 // Concrete runtimes
 
 class SimRuntime final : public Runtime {
  public:
-  explicit SimRuntime(RuntimeConfig config);
+  explicit SimRuntime(RuntimeConfig config) : net_(std::move(config)) {}
 
   RuntimeKind kind() const override { return RuntimeKind::kSim; }
   std::size_t size() const override { return net_.size(); }
@@ -309,8 +228,6 @@ class SimRuntime final : public Runtime {
   Network& network() { return net_; }
 
  private:
-  static NetworkConfig to_network_config(RuntimeConfig config);
-  bool trace_ = false;  // declared before net_: read from config pre-move
   Network net_;
 };
 
@@ -319,9 +236,10 @@ class SimRuntime final : public Runtime {
 class ThreadRuntime final : public Runtime {
  public:
   // `kind` is kThread or kUdp.
-  ThreadRuntime(RuntimeKind kind, RuntimeConfig config);
+  ThreadRuntime(RuntimeKind kind, RuntimeConfig config)
+      : net_(kind, std::move(config)) {}
 
-  RuntimeKind kind() const override;
+  RuntimeKind kind() const override { return net_.kind(); }
   std::size_t size() const override { return net_.size(); }
   void build_nodes(
       const std::function<NodePtr(std::size_t)>& factory) override;
@@ -341,14 +259,14 @@ class ThreadRuntime final : public Runtime {
   Trace trace_snapshot() const override { return net_.trace_copy(); }
 
  private:
-  static ThreadNetConfig to_thread_config(RuntimeKind kind,
-                                          const RuntimeConfig& config);
   // Wall milliseconds left of the per-trial budget (≥ 1 so waits with an
   // exhausted budget still poll the predicate once).
   double remaining_budget_ms() const;
+  // Wall milliseconds of `sim` units.
+  double wall_ms(SimTime sim) const {
+    return sim * net_.config().time_scale_us / 1000.0;
+  }
 
-  double time_scale_us_;
-  double wall_timeout_ms_;
   ThreadNetwork net_;
   std::chrono::steady_clock::time_point wall_deadline_{};
   bool started_ = false;

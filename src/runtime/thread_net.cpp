@@ -7,15 +7,6 @@
 
 namespace abe {
 
-namespace {
-
-// The substrate name each transport reports under (see TransportKind).
-const char* transport_name(TransportKind kind) {
-  return kind == TransportKind::kUdp ? "udp" : "thread";
-}
-
-}  // namespace
-
 // Context implementation whose methods run exclusively on the node's thread.
 class ThreadNetwork::ThreadContext final : public Context {
  public:
@@ -94,24 +85,12 @@ class ThreadNetwork::InProcessTransport final : public Transport {
   ThreadNetwork& net_;
 };
 
-ThreadNetwork::ThreadNetwork(ThreadNetConfig config)
-    : config_(std::move(config)), root_rng_(config_.seed) {
-  const std::string name = transport_name(config_.transport);
-  validate_topology(config_.topology);
-  config_.clock_bounds.validate();
-  if (!config_.delay) config_.delay = exponential_delay(1.0);
-  ABE_CHECK_GT(config_.time_scale_us, 0.0);
-  ABE_CHECK_GE(config_.loss_probability, 0.0);
-  ABE_CHECK_LT(config_.loss_probability, 1.0)
-      << "loss probability 1 would never deliver";
-  ABE_CHECK(!config_.reliable || config_.transport == TransportKind::kUdp)
-      << "the reliable ARQ belongs to the udp transport";
-  ABE_CHECK_GT(config_.arq_timeout, 0.0);
-  ABE_CHECK_GE(config_.arq_max_attempts, 1);
-  ABE_CHECK(config_.drift != DriftModel::kPiecewiseRandom)
-      << name
-      << " runtime realises clocks as scaled wall time; only kNone and "
-         "kFixedRandomRate are possible";
+ThreadNetwork::ThreadNetwork(RuntimeKind kind, RuntimeConfig config)
+    : kind_(kind),
+      config_(validate(kind, std::move(config))),
+      root_rng_(config_.seed) {
+  ABE_CHECK(kind != RuntimeKind::kSim) << "not a real-time runtime kind";
+  const std::string name = runtime_kind_name(kind);
 
   const std::size_t n = config_.topology.n;
   out_channels_ = out_adjacency(config_.topology);
@@ -136,7 +115,7 @@ ThreadNetwork::ThreadNetwork(ThreadNetConfig config)
       slots_[i].clock_rate = 1.0;
     }
   }
-  if (config_.transport == TransportKind::kUdp) {
+  if (kind_ == RuntimeKind::kUdp) {
     transport_ = make_udp_transport(*this);
   } else {
     transport_ = std::make_unique<InProcessTransport>(*this);
@@ -178,8 +157,7 @@ Trace ThreadNetwork::trace_copy() const {
 }
 
 MetricsSnapshot ThreadNetwork::metrics_snapshot() const {
-  const std::string prefix =
-      std::string(transport_name(config_.transport)) + ".";
+  const std::string prefix = std::string(runtime_kind_name(kind_)) + ".";
   MetricsSnapshot snap;
   transport_->add_metrics(snap);
   snap.add_counter("net.sent", static_cast<double>(messages_sent_.load()));
@@ -225,13 +203,8 @@ ThreadNetwork::~ThreadNetwork() { stop(); }
 void ThreadNetwork::add_node(NodePtr node) {
   ABE_CHECK(!started_.load());
   ABE_CHECK(static_cast<bool>(node));
-  for (auto& slot : slots_) {
-    if (!slot.node) {
-      slot.node = std::move(node);
-      return;
-    }
-  }
-  ABE_CHECK(false) << "more nodes than topology slots";
+  ABE_CHECK_LT(installed_, slots_.size()) << "more nodes than topology slots";
+  slots_[installed_++].node = std::move(node);
 }
 
 void ThreadNetwork::build_nodes(
@@ -286,7 +259,7 @@ void ThreadNetwork::send(std::size_t from, std::size_t out_index,
   // Sent-then-dropped counting mirrors NetworkMetrics, so in-flight
   // arithmetic (sent - delivered - dropped) works on every runtime. The
   // reliable udp ARQ draws this coin per datagram attempt instead.
-  if (!config_.reliable && config_.loss_probability > 0.0 &&
+  if (!config_.udp_reliable && config_.loss_probability > 0.0 &&
       slot.rng.bernoulli(config_.loss_probability)) {
     messages_dropped_.fetch_add(1, std::memory_order_relaxed);
     record_trace(TraceKind::kDrop, NodeId{static_cast<std::int64_t>(to)},

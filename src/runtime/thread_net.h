@@ -1,9 +1,10 @@
 // The real-time network: one dispatcher thread per node, blocking
 // mailboxes, wall-clock delays. This is the substrate behind ThreadRuntime —
 // the real-time half of the unified Runtime contract (runtime/runtime.h),
-// serving both RuntimeKind::kThread and RuntimeKind::kUdp; algorithm code
-// reaches it through the same Node/Context interface the simulator
-// provides, so the exact same node objects run on every substrate.
+// serving both RuntimeKind::kThread and RuntimeKind::kUdp. It takes the same
+// RuntimeConfig as the simulator (net/runtime_config.h), and algorithm code
+// reaches it through the same Node/Context interface, so the exact same node
+// objects run on every substrate.
 //
 // One simulated time unit maps to `time_scale_us` microseconds of wall
 // time; channel delays are sampled from the same DelayModel and realised by
@@ -15,19 +16,23 @@
 // messages_dropped()) and congestion-degraded delays (wrap the DelayModel
 // with FailureProfile::apply before handing it in). Definition 1(3)
 // processing time is realised literally: the node's thread sleeps for the
-// sampled handling time before processing a delivered message.
+// sampled handling time before processing a delivered message. The
+// simulator-only fields (ordering, tick_phase, timeseries_interval) are
+// ignored.
 //
 // How a sent message reaches its receiver's mailbox is the one thing the
-// two real-time substrates do differently, so it sits behind a Transport
-// seam under the shared dispatcher:
-//   - kInProcess pushes the due-time item straight into the receiver's
-//     mailbox (RuntimeKind::kThread);
+// two real-time kinds do differently, so it sits behind a Transport seam
+// under the shared dispatcher:
+//   - kThread pushes the due-time item straight into the receiver's
+//     mailbox;
 //   - kUdp carries every message as a real loopback datagram with a
 //     measured transit and an optional per-channel ARQ
-//     (runtime/udp_transport.h; RuntimeKind::kUdp).
-// Everything else — config validation, the Context, the dispatcher and its
-// tick train, trace stamping, the net.* counters, quiescence and stop
-// ordering — exists once, here.
+//     (runtime/udp_transport.h).
+// The kind also names the substrate in RNG substreams ("thread-node" /
+// "udp-node"), metric rows ("thread.*" / "udp.*") and check messages
+// ("thread runtime" / "udp runtime"). Everything else — config validation,
+// the Context, the dispatcher and its tick train, trace stamping, the net.*
+// counters, quiescence and stop ordering — exists once, here.
 #pragma once
 
 #include <atomic>
@@ -40,8 +45,8 @@
 
 #include "clock/local_clock.h"
 #include "net/delay.h"
-#include "net/network.h"
 #include "net/node.h"
+#include "net/runtime_config.h"
 #include "net/topology.h"
 #include "obs/metrics.h"
 #include "runtime/mailbox.h"
@@ -50,66 +55,10 @@
 
 namespace abe {
 
-// How messages cross between nodes. The kind also names the substrate in
-// RNG substreams ("thread-node" / "udp-node"), metric rows ("thread.*" /
-// "udp.*") and check messages ("thread runtime" / "udp runtime").
-enum class TransportKind : std::uint8_t {
-  kInProcess,  // due-time push into the receiver's mailbox
-  kUdp,        // loopback datagrams (runtime/udp_transport.h)
-};
-
-struct ThreadNetConfig {
-  Topology topology;
-  DelayModelPtr delay;               // per-channel delay (sim units)
-  // When set, the adversary chooses every message's delay instead of
-  // sampling `delay` (net/delay.h). Policies are called concurrently from
-  // node threads and synchronise internally (make_bounded_adversary).
-  AdversaryPolicyPtr adversary_delay;
-  double time_scale_us = 1000.0;     // wall microseconds per sim unit
-  // Clock-drift band [s_low, s_high] (Definition 1(2)), mirroring the
-  // simulator's NetworkConfig. kNone pins every rate to exactly 1;
-  // kFixedRandomRate draws one rate per node within the bounds (the
-  // default, and the only wandering model a wall-clock-scaled runtime can
-  // realise — kPiecewiseRandom is rejected).
-  ClockBounds clock_bounds{};
-  DriftModel drift = DriftModel::kFixedRandomRate;
-  // Definition 1(3): handling a delivered message occupies the node — the
-  // thread sleeps for the sampled time before invoking on_message.
-  ProcessingModel processing = ProcessingModel::zero();
-  // Per-attempt silent drop (failure injection; scenario engine). Dropped
-  // sends still count as sent, mirroring NetworkMetrics. With `reliable`,
-  // the coin suppresses one datagram attempt instead (udp.attempt_drops)
-  // and the ARQ retransmits it.
-  double loss_probability = 0.0;
-  bool enable_ticks = false;
-  double tick_local_period = 1.0;    // in sim units, on the local clock
-  std::uint64_t seed = 1;
-  // Full-detail tracing (payload strings in every record). The flight
-  // recorder itself is always on — see ThreadNetwork::trace_copy().
-  bool trace = false;
-  // Causal-history mode (mirrors NetworkConfig::causal_history): widen the
-  // flight ring to full capacity while keeping records lite, so cause
-  // chains (obs/causal.h) reach their roots.
-  bool causal_history = false;
-  // Extended observability: per-node handler-time accounting, harvested by
-  // metrics_snapshot(). Off by default.
-  bool metrics = false;
-  TransportKind transport = TransportKind::kInProcess;
-  // --- kUdp only ---------------------------------------------------------
-  // The udp transport's own per-channel ARQ (sequence numbers, ACKs,
-  // timeout retransmission, receiver dedup; runtime/udp_transport.h).
-  bool reliable = false;
-  // Retransmission timeout in sim units (scaled to wall time like every
-  // other delay). Should exceed the delay model's mean by a few ×.
-  double arq_timeout = 4.0;
-  // Attempt cap per message: past it the sender gives up and counts the
-  // message dropped, so a pathological channel cannot wedge quiescence.
-  int arq_max_attempts = 64;
-};
-
 class ThreadNetwork {
  public:
-  explicit ThreadNetwork(ThreadNetConfig config);
+  // `kind` is kThread or kUdp; it picks the transport.
+  ThreadNetwork(RuntimeKind kind, RuntimeConfig config);
   ~ThreadNetwork();
   ThreadNetwork(const ThreadNetwork&) = delete;
   ThreadNetwork& operator=(const ThreadNetwork&) = delete;
@@ -144,7 +93,9 @@ class ThreadNetwork {
   void stop();
 
   std::size_t size() const { return config_.topology.n; }
-  TransportKind transport() const { return config_.transport; }
+  RuntimeKind kind() const { return kind_; }
+  // The validated environment (validate(), net/runtime_config.h).
+  const RuntimeConfig& config() const { return config_; }
   // Only safe after stop(): node state is owned by its thread while running.
   Node& node(std::size_t i);
   // Race-free terminated flag, updated by the node's thread after each event.
@@ -166,14 +117,14 @@ class ThreadNetwork {
   // Copy of the flight recorder (trace/trace.h): always-on ring of recent
   // events, stamped with mailbox DELIVERY time (now_sim() at pop), so the
   // transcript orders events the way the node experienced them, not the
-  // way producers enqueued them. ThreadNetConfig::trace switches it to the
+  // way producers enqueued them. RuntimeConfig::trace switches it to the
   // full-detail ring the CrossRuntimeParity transcript checks read.
   Trace trace_copy() const EXCLUDES(trace_mutex_);
 
   // Deterministic-by-name harvest mirroring Network::metrics_snapshot():
   // net.* counters shared with the simulator plus per-transport rows —
   // thread.* / udp.* CV wakeups, mailbox high-water and (with
-  // ThreadNetConfig::metrics) per-node handler time, and on udp the
+  // RuntimeConfig::metrics) per-node handler time, and on udp the
   // datagram/ack/retransmit counts, the measured udp.transit_us histogram
   // and, when reliable, arq.rtt. Values are wall-clock facts, so unlike
   // simulator snapshots they are not bit-reproducible across runs.
@@ -251,13 +202,15 @@ class ThreadNetwork {
   // sends never pay for string formatting.
   std::string trace_detail(const Payload& payload, std::size_t edge) const;
 
-  ThreadNetConfig config_;
+  RuntimeKind kind_;
+  RuntimeConfig config_;
   Rng root_rng_;
   std::vector<Slot> slots_;
   std::vector<std::vector<std::size_t>> out_channels_;
   std::vector<std::vector<std::size_t>> in_channels_;
   std::vector<std::size_t> in_index_of_edge_;
   std::unique_ptr<Transport> transport_;
+  std::size_t installed_ = 0;  // nodes added so far: the next free slot
   MailItem::Clock::time_point start_time_{};
   std::atomic<std::uint64_t> messages_sent_{0};
   std::atomic<std::uint64_t> messages_delivered_{0};
@@ -286,25 +239,5 @@ class ThreadNetwork {
   mutable AnnotatedMutex trace_mutex_;
   Trace trace_ GUARDED_BY(trace_mutex_);
 };
-
-// Convenience harness mirroring core/harness.h on the thread runtime.
-// (Thin shim over ThreadRuntime + the ring-election AlgorithmDriver; see
-// runtime/runtime.h.)
-struct ThreadedElectionResult {
-  bool elected = false;
-  std::size_t leader_index = 0;
-  double election_time_sim = 0.0;
-  std::uint64_t messages = 0;
-  bool safety_ok = false;
-};
-
-// `clock_bounds` realises the drift band on real threads (one fixed rate
-// per node drawn within the bounds); the default is ideal clocks.
-// `loss_probability` injects per-attempt silent message loss.
-ThreadedElectionResult run_threaded_election(
-    std::size_t n, double a0, double mean_delay, std::uint64_t seed,
-    double time_scale_us = 200.0,
-    std::chrono::milliseconds timeout = std::chrono::milliseconds(30000),
-    ClockBounds clock_bounds = {}, double loss_probability = 0.0);
 
 }  // namespace abe

@@ -31,7 +31,7 @@ class UdpSocket {
 
   // Opens an IPv4 datagram socket and binds it to 127.0.0.1 with an
   // ephemeral port. Aborts on resource exhaustion (fd or port budget) —
-  // gate node counts with kMaxUdpRuntimeNodes (runtime/runtime.h) first.
+  // gate node counts with kMaxUdpRuntimeNodes (net/runtime_config.h) first.
   UdpSocket();
   ~UdpSocket();
   UdpSocket(const UdpSocket&) = delete;

@@ -19,6 +19,13 @@ namespace abe {
 
 namespace {
 
+// Reliable mode's retransmission timeout, in sim units (scaled to wall time
+// like every other delay); a few times the usual delay mean.
+constexpr double kArqTimeout = 4.0;
+// Attempt cap per message: past it the sender gives up and counts the
+// message dropped, so a pathological channel cannot wedge quiescence.
+constexpr int kArqMaxAttempts = 64;
+
 std::int64_t steady_ns(MailItem::Clock::time_point tp) {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              tp.time_since_epoch())
@@ -110,11 +117,11 @@ class ThreadNetwork::UdpTransport final : public Transport {
   // datagram. Dispatcher thread only (the loss draw uses the slot's rng).
   void transmit_data(std::size_t from, const Wire& wire);
   // Pushes the retransmission timer for `msg_id` into the sender's own
-  // mailbox, due one arq_timeout from now.
+  // mailbox, due one kArqTimeout from now.
   void arm_retransmit(std::size_t from, std::uint64_t msg_id);
 
   ThreadNetwork& net_;
-  const ThreadNetConfig& config_;
+  const RuntimeConfig& config_;
   std::vector<std::uint16_t> port_of_;  // node index -> loopback port
   // Transport-level tallies, harvested as udp.* rows.
   std::atomic<std::uint64_t> datagrams_tx_{0};
@@ -170,7 +177,7 @@ ThreadNetwork::UdpTransport::UdpTransport(ThreadNetwork& net)
   // nondeterministic regardless.
   transit_hist_ = &registry_.histogram(
       "udp.transit_us", FixedHistogram::log2_bounds(64.0, 4, 10));
-  if (config_.reliable) {
+  if (config_.udp_reliable) {
     rtt_hist_ = &registry_.histogram("arq.rtt",
                                      FixedHistogram::log2_bounds(1.0, 6, 10));
   }
@@ -225,7 +232,7 @@ void ThreadNetwork::UdpTransport::send(std::size_t from,
   wire.send_id = item.cause;
   wire.first_send_ns = steady_ns(MailItem::Clock::now());
   wire.delay_sim = item.delay_sim;
-  if (config_.reliable) {
+  if (config_.udp_reliable) {
     Endpoint& endpoint = endpoints_[from];
     wire.seq = ++endpoint.next_seq[out_index];
     {
@@ -246,7 +253,7 @@ void ThreadNetwork::UdpTransport::transmit_data(std::size_t from,
   // Reliable mode injects loss per transmission ATTEMPT: the datagram is
   // suppressed, the ARQ timer retries. (Unreliable injected loss was
   // already realised in ThreadNetwork::send, before the wire.)
-  if (config_.reliable && config_.loss_probability > 0.0 &&
+  if (config_.udp_reliable && config_.loss_probability > 0.0 &&
       net_.slots_[from].rng.bernoulli(config_.loss_probability)) {
     attempt_drops_.fetch_add(1, std::memory_order_relaxed);
     return;
@@ -267,7 +274,7 @@ void ThreadNetwork::UdpTransport::arm_retransmit(std::size_t from,
   item.kind = MailItem::Kind::kTimer;
   item.timer_id = kTransportTimerId;
   item.tag = msg_id;
-  item.due = net_.sim_to_wall(config_.arq_timeout);
+  item.due = net_.sim_to_wall(kArqTimeout);
   net_.slots_[from].mailbox->push(std::move(item));
 }
 
@@ -281,7 +288,7 @@ void ThreadNetwork::UdpTransport::on_timer(std::size_t index,
     auto it = endpoint.unacked.find(msg_id);
     if (it == endpoint.unacked.end()) return;  // ACKed since the timer armed
     wire = it->second.wire;
-    if (it->second.attempts >= config_.arq_max_attempts) {
+    if (it->second.attempts >= kArqMaxAttempts) {
       // Attempt cap: with ACKs immune to injected loss, reaching it takes
       // ~loss^max_attempts consecutive data-attempt losses — the give-up
       // exists so a pathological channel cannot wedge quiescence forever.
@@ -340,7 +347,7 @@ void ThreadNetwork::UdpTransport::handle_data(std::size_t index,
   transit_hist_->record(static_cast<double>(recv_ns - wire.send_ns) / 1e3);
 
   const std::size_t in_index = net_.in_index_of_edge_[wire.edge];
-  if (config_.reliable) {
+  if (config_.udp_reliable) {
     // Always ACK — duplicates too (the earlier ACK may have raced the
     // retransmit timer). ACKs are deliberately exempt from injected loss,
     // mirroring run_arq_experiment's lossless ack channel (net/arq.h):

@@ -1,8 +1,8 @@
 // The udp transport of the real-time network (runtime/thread_net.h): one
-// loopback UDP socket per node, messages as real datagrams. Selected by
-// TransportKind::kUdp, which ThreadRuntime uses for RuntimeKind::kUdp — the
-// third substrate of the unified Runtime contract (runtime/runtime.h), next
-// to the discrete-event simulator and the in-process thread transport.
+// loopback UDP socket per node, messages as real datagrams. A ThreadNetwork
+// built for RuntimeKind::kUdp runs over it — the third substrate of the
+// unified Runtime contract (runtime/runtime.h), next to the discrete-event
+// simulator and the in-process thread transport.
 //
 // Where the simulator ASSUMES bounded expected delay (Definition 1(1):
 // sampled DelayModel) and the in-process transport EMULATES it (due-time
@@ -31,12 +31,14 @@
 // hand-off is honestly in-memory. README § "Real-socket runtime" spells
 // out the caveat.
 //
-// Reliability: ThreadNetConfig::reliable turns on this transport's own
+// Reliability: RuntimeConfig::udp_reliable turns on this transport's own
 // per-channel ARQ — per-edge sequence numbers, per-datagram ACKs, timeout
 // retransmission with an attempt cap, receiver-side dedup (cumulative base
 // + out-of-order set, duplicates re-ACKed) — so injected per-attempt loss
 // degrades goodput instead of dropping messages, and `arq.rtt` records
-// first-send→ack round trips. It is not the simulator's stop-and-wait
+// first-send→ack round trips. The retransmission timeout (4 sim units) and
+// the attempt cap (64, then the message counts as dropped) are fixed
+// constants. It is not the simulator's stop-and-wait
 // ArqSender/ArqReceiver node pair of net/arq.h; it only shares that
 // experiment's lossless-ACK convention. Unreliable mode draws injected loss
 // once per message before the wire, like the in-process transport.

@@ -91,7 +91,7 @@ AbdRunResult run_abd_synchronizer(const Topology& topology,
                                   ClockBounds clock_bounds,
                                   DriftModel drift) {
   ABE_CHECK_GT(period_multiplier, 0.0);
-  NetworkConfig config;
+  RuntimeConfig config;
   config.topology = topology;
   config.delay = delay;
   config.ordering = ChannelOrdering::kArbitrary;

@@ -103,7 +103,7 @@ AlphaRunResult run_alpha_synchronizer(const Topology& topology,
                                       std::uint64_t rounds,
                                       const DelayModelPtr& delay,
                                       std::uint64_t seed, SimTime deadline) {
-  NetworkConfig config;
+  RuntimeConfig config;
   config.topology = topology;
   config.delay = delay;
   config.ordering = ChannelOrdering::kArbitrary;

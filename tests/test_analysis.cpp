@@ -142,7 +142,7 @@ TEST(AbeParams, ValidateAndPrint) {
 }
 
 TEST(AbeParams, DerivedFromNetwork) {
-  NetworkConfig config;
+  RuntimeConfig config;
   config.topology = unidirectional_ring(4);
   config.delay = exponential_delay(3.0);
   config.clock_bounds = {0.9, 1.1};
@@ -156,7 +156,7 @@ TEST(AbeParams, DerivedFromNetwork) {
 }
 
 TEST(AbeParams, AbdDetection) {
-  NetworkConfig config;
+  RuntimeConfig config;
   config.topology = unidirectional_ring(4);
   config.delay = uniform_delay(0.5, 1.5);
   Network net(std::move(config));

@@ -89,7 +89,7 @@ class ScriptedSender final : public Node {
 };
 
 TEST(Election, IdleReceiverBecomesPassiveAndForwardsDPlusOne) {
-  NetworkConfig config;
+  RuntimeConfig config;
   config.topology = unidirectional_ring(3);
   config.delay = fixed_delay(1.0);
   config.enable_ticks = false;  // freeze spontaneous activity
@@ -137,7 +137,7 @@ TEST(Election, ObserverSeesEveryLeaderTransition) {
     }
   } obs;
 
-  NetworkConfig config;
+  RuntimeConfig config;
   config.topology = unidirectional_ring(8);
   config.delay = exponential_delay(1.0);
   config.enable_ticks = true;

@@ -26,7 +26,7 @@ struct LossyOutcome {
 
 LossyOutcome run_lossy_election(std::size_t n, double loss,
                                 std::uint64_t seed, SimTime horizon) {
-  NetworkConfig config;
+  RuntimeConfig config;
   config.topology = unidirectional_ring(n);
   config.delay = exponential_delay(1.0);
   config.enable_ticks = true;
@@ -101,7 +101,7 @@ TEST(FailureInjection, NoLossNoFailures) {
 // returns. Loss handled at the right layer is not loss at all.
 TEST(FailureInjection, RetransmissionChannelRestoresLiveness) {
   for (std::uint64_t seed = 1; seed <= 12; ++seed) {
-    NetworkConfig config;
+    RuntimeConfig config;
     config.topology = unidirectional_ring(8);
     // Same 50% per-attempt loss, but modelled as geometric retransmission:
     // every message eventually arrives, mean delay 2 slots.

@@ -36,7 +36,7 @@ TEST(Integration, SensorNetworkScenarioElects) {
 // Definition 1 knowledge extraction: a configured deployment advertises its
 // (δ, s_low, s_high, γ) and the election only ever relied on those.
 TEST(Integration, AbeParamsDescribeDeployment) {
-  NetworkConfig config;
+  RuntimeConfig config;
   config.topology = unidirectional_ring(8);
   config.delay = geometric_retransmission_delay(0.5, 1.0);
   config.clock_bounds = {0.9, 1.2};
@@ -62,7 +62,7 @@ TEST(Integration, MeasuredMeanDelayMatchesDelta) {
   EXPECT_EQ(agg.failures, 0u);
 
   // Re-run one instance and inspect the metrics directly.
-  NetworkConfig config;
+  RuntimeConfig config;
   config.topology = unidirectional_ring(64);
   config.delay = exponential_delay(2.0);
   config.enable_ticks = true;
@@ -108,7 +108,7 @@ TEST(Integration, LongDelaysOccurButAreRare) {
     void on_message(Context&, std::size_t, const Payload&) override {}
   };
 
-  NetworkConfig config;
+  RuntimeConfig config;
   config.topology = unidirectional_ring(32);
   config.delay = exponential_delay(1.0);
   config.enable_ticks = true;

@@ -84,7 +84,7 @@ TEST(InvariantChecker, TokenConservation) {
 
 void run_checked_election(std::size_t n, const char* delay,
                           ActivationPolicy policy, std::uint64_t seed) {
-  NetworkConfig config;
+  RuntimeConfig config;
   config.topology = unidirectional_ring(n);
   config.delay = make_delay_model(delay, 1.0);
   config.enable_ticks = true;

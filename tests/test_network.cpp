@@ -52,8 +52,8 @@ class BurstNode final : public Node {
   int count_;
 };
 
-NetworkConfig two_node_config(DelayModelPtr delay, ChannelOrdering ordering) {
-  NetworkConfig config;
+RuntimeConfig two_node_config(DelayModelPtr delay, ChannelOrdering ordering) {
+  RuntimeConfig config;
   config.topology = line(2);
   config.delay = std::move(delay);
   config.ordering = ordering;
@@ -93,7 +93,7 @@ TEST(Network, FifoPreservesSendOrderUnderRandomDelay) {
 TEST(Network, ArbitraryOrderReordersEventually) {
   bool reordered = false;
   for (std::uint64_t seed = 0; seed < 10 && !reordered; ++seed) {
-    NetworkConfig config = two_node_config(exponential_delay(1.0),
+    RuntimeConfig config = two_node_config(exponential_delay(1.0),
                                            ChannelOrdering::kArbitrary);
     config.seed = seed;
     Network net(std::move(config));
@@ -113,7 +113,7 @@ TEST(Network, ArbitraryOrderReordersEventually) {
 }
 
 TEST(Network, PerChannelDelayOverride) {
-  NetworkConfig config;
+  RuntimeConfig config;
   config.topology = unidirectional_ring(2);  // edges 0->1 and 1->0
   config.delay = fixed_delay(1.0);
   config.seed = 1;
@@ -130,7 +130,7 @@ TEST(Network, PerChannelDelayOverride) {
 }
 
 TEST(Network, LossDropsMessages) {
-  NetworkConfig config = two_node_config(fixed_delay(1.0),
+  RuntimeConfig config = two_node_config(fixed_delay(1.0),
                                          ChannelOrdering::kFifo);
   config.loss_probability = 0.5;
   Network net(std::move(config));
@@ -147,7 +147,7 @@ TEST(Network, LossDropsMessages) {
 }
 
 TEST(Network, ProcessingDelaySerialisesHandlers) {
-  NetworkConfig config = two_node_config(fixed_delay(1.0),
+  RuntimeConfig config = two_node_config(fixed_delay(1.0),
                                          ChannelOrdering::kFifo);
   config.processing = ProcessingModel::fixed(2.0);
   Network net(std::move(config));
@@ -197,7 +197,7 @@ class TimerNode final : public Node {
 };
 
 TEST(Network, TimersFireAndCancel) {
-  NetworkConfig config;
+  RuntimeConfig config;
   config.topology = unidirectional_ring(1);
   config.seed = 3;
   Network net(std::move(config));
@@ -212,7 +212,7 @@ TEST(Network, TimersFireAndCancel) {
 }
 
 TEST(Network, TimerHonoursClockRate) {
-  NetworkConfig config;
+  RuntimeConfig config;
   config.topology = unidirectional_ring(1);
   config.clock_bounds = {2.0, 2.0};  // clock runs 2x fast
   config.drift = DriftModel::kFixedRandomRate;
@@ -244,7 +244,7 @@ class TickCounter final : public Node {
 };
 
 TEST(Network, TicksFireAtLocalPeriodAndStopOnTermination) {
-  NetworkConfig config;
+  RuntimeConfig config;
   config.topology = unidirectional_ring(1);
   config.enable_ticks = true;
   config.tick_local_period = 1.0;
@@ -264,7 +264,7 @@ TEST(Network, TicksFireAtLocalPeriodAndStopOnTermination) {
 }
 
 TEST(Network, SlowClockTicksLater) {
-  NetworkConfig config;
+  RuntimeConfig config;
   config.topology = unidirectional_ring(1);
   config.enable_ticks = true;
   config.clock_bounds = {0.5, 0.5};
@@ -288,7 +288,7 @@ TEST(Network, SlowClockTicksLater) {
 // lockstep regime made fixed-delay elections cycle through symmetric
 // activation/purge rounds; see ElectionModelSweep.)
 TEST(Network, RandomTickPhaseDesynchronisesNodesButKeepsPeriod) {
-  NetworkConfig config;
+  RuntimeConfig config;
   config.topology = unidirectional_ring(3);
   config.enable_ticks = true;
   config.tick_local_period = 1.0;
@@ -356,7 +356,7 @@ TEST(Network, TraceRecordsSendAndDeliver) {
 }
 
 TEST(Network, MetricsPerNodeAndChannel) {
-  NetworkConfig config;
+  RuntimeConfig config;
   config.topology = unidirectional_ring(3);
   config.delay = fixed_delay(1.0);
   config.seed = 1;
@@ -374,7 +374,7 @@ TEST(Network, MetricsPerNodeAndChannel) {
 }
 
 TEST(Network, EchoRoundTrip) {
-  NetworkConfig config;
+  RuntimeConfig config;
   config.topology = unidirectional_ring(2);
   config.delay = fixed_delay(1.0);
   config.seed = 1;
@@ -390,7 +390,7 @@ TEST(Network, EchoRoundTrip) {
 }
 
 TEST(Network, StartRequiresAllNodes) {
-  NetworkConfig config;
+  RuntimeConfig config;
   config.topology = unidirectional_ring(2);
   Network net(std::move(config));
   net.add_node(std::make_unique<SinkNode>());
@@ -398,7 +398,7 @@ TEST(Network, StartRequiresAllNodes) {
 }
 
 TEST(Network, ExtraNodeRejected) {
-  NetworkConfig config;
+  RuntimeConfig config;
   config.topology = unidirectional_ring(1);
   Network net(std::move(config));
   net.add_node(std::make_unique<SinkNode>());

@@ -60,7 +60,7 @@ class NetworkPropertySweep : public ::testing::TestWithParam<NetCase> {};
 TEST_P(NetworkPropertySweep, ConservationAndOrdering) {
   const NetCase& c = GetParam();
   constexpr int kBurst = 20;
-  NetworkConfig config;
+  RuntimeConfig config;
   config.topology = c.topology;
   config.delay = make_delay_model(c.delay, 1.0);
   config.ordering = c.ordering;
@@ -145,7 +145,7 @@ INSTANTIATE_TEST_SUITE_P(
 // busy time must sum up: with fixed processing t and k back-to-back
 // messages the last handler runs at arrival + k*t.
 TEST(NetworkProperty, ProcessingBacklogTiming) {
-  NetworkConfig config;
+  RuntimeConfig config;
   config.topology = line(2);
   config.delay = fixed_delay(1.0);
   config.ordering = ChannelOrdering::kFifo;
@@ -165,7 +165,7 @@ TEST(NetworkProperty, ProcessingBacklogTiming) {
 // keep the system quiescing (no lost wakeups / stuck queues).
 TEST(NetworkProperty, ExponentialProcessingQuiesces) {
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-    NetworkConfig config;
+    RuntimeConfig config;
     config.topology = complete(4);
     config.delay = exponential_delay(1.0);
     config.processing = ProcessingModel::exponential(0.3);

@@ -141,8 +141,8 @@ class Sprayer final : public Node {
   int count_;
 };
 
-NetworkConfig lossy_ring_config(std::uint64_t seed) {
-  NetworkConfig config;
+RuntimeConfig lossy_ring_config(std::uint64_t seed) {
+  RuntimeConfig config;
   config.topology = unidirectional_ring(4);
   config.delay = fixed_delay(1.0);
   config.loss_probability = 0.3;

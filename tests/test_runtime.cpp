@@ -122,19 +122,43 @@ TEST(Mailbox, EarlierItemPreemptsWait) {
 
 // ---------------------------------------------------------------------
 
+// One ring election on the thread runtime: exponential delays of mean
+// `mean_delay`, one fixed clock rate per node within `band`. The positive
+// settle time realises ThreadRuntime::run_for's kMinSettleWallMs window, in
+// which a second leader would show.
+ElectionRunResult threaded_election(std::size_t n, double a0,
+                                    double mean_delay, std::uint64_t seed,
+                                    double time_scale_us,
+                                    ClockBounds band = {}) {
+  ElectionExperiment experiment;
+  experiment.n = n;
+  experiment.election.a0 = a0;
+  experiment.delay = exponential_delay(mean_delay);
+  experiment.clock_bounds = band;
+  experiment.drift = DriftModel::kFixedRandomRate;
+  experiment.seed = seed;
+  experiment.settle_time = 1.0;
+  RuntimeConfig config = election_runtime_config(experiment);
+  config.time_scale_us = time_scale_us;
+  ElectionRunResult run;
+  const auto driver = make_ring_election_driver(experiment, &run);
+  run_algorithm_trial(RuntimeKind::kThread, std::move(config), *driver);
+  return run;
+}
+
 TEST(ThreadNet, ElectsExactlyOneLeader) {
-  const auto result = run_threaded_election(
+  const auto result = threaded_election(
       /*n=*/8, /*a0=*/0.4, /*mean_delay=*/1.0, /*seed=*/1,
       /*time_scale_us=*/200.0);
   ASSERT_TRUE(result.elected);
   EXPECT_TRUE(result.safety_ok);
-  EXPECT_GE(result.messages, 8u);
+  EXPECT_GE(result.messages_total, 8u);
 }
 
 TEST(ThreadNet, RepeatedRunsStaySafe) {
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
     const auto result =
-        run_threaded_election(6, 0.4, 0.5, seed, /*time_scale_us=*/150.0);
+        threaded_election(6, 0.4, 0.5, seed, /*time_scale_us=*/150.0);
     ASSERT_TRUE(result.elected) << "seed=" << seed;
     EXPECT_TRUE(result.safety_ok) << "seed=" << seed;
   }
@@ -142,29 +166,68 @@ TEST(ThreadNet, RepeatedRunsStaySafe) {
 
 TEST(ThreadNet, LargerRingStillElects) {
   const auto result =
-      run_threaded_election(16, 0.3, 0.5, 5, /*time_scale_us=*/100.0);
+      threaded_election(16, 0.3, 0.5, 5, /*time_scale_us=*/100.0);
   ASSERT_TRUE(result.elected);
   EXPECT_TRUE(result.safety_ok);
 }
 
-// The shared dispatcher tests below run once per transport.
+// The shared dispatcher tests below run once per real-time kind.
 struct TransportCase {
-  TransportKind kind;
+  RuntimeKind kind;
   const char* runtime_name;  // as check messages name the substrate
 };
 constexpr TransportCase kTransports[] = {
-    {TransportKind::kInProcess, "thread runtime"},
-    {TransportKind::kUdp, "udp runtime"},
+    {RuntimeKind::kThread, "thread runtime"},
+    {RuntimeKind::kUdp, "udp runtime"},
 };
 
 TEST(ThreadNet, PiecewiseDriftRejected) {
   for (const TransportCase& transport : kTransports) {
     SCOPED_TRACE(transport.runtime_name);
-    ThreadNetConfig config;
+    RuntimeConfig config;
     config.topology = unidirectional_ring(3);
     config.drift = DriftModel::kPiecewiseRandom;
-    config.transport = transport.kind;
-    EXPECT_DEATH(ThreadNetwork net(std::move(config)), transport.runtime_name);
+    EXPECT_DEATH(ThreadNetwork net(transport.kind, std::move(config)),
+                 transport.runtime_name);
+  }
+}
+
+// A zero tick period would make every tick due at start, so the dispatcher
+// would re-push an already-due tick in a busy loop; a zero time scale maps
+// every delay to no wall time at all. Both are rejected at construction,
+// before any thread starts.
+TEST(ThreadNet, NonPositiveTickPeriodOrTimeScaleRejected) {
+  for (const TransportCase& transport : kTransports) {
+    SCOPED_TRACE(transport.runtime_name);
+    RuntimeConfig config;
+    config.topology = unidirectional_ring(3);
+    config.enable_ticks = true;
+    config.tick_local_period = 0.0;
+    EXPECT_DEATH(ThreadNetwork net(transport.kind, config),
+                 "tick_local_period");
+    config.tick_local_period = 1.0;
+    config.time_scale_us = 0.0;
+    EXPECT_DEATH(ThreadNetwork net(transport.kind, config),
+                 transport.runtime_name);
+  }
+}
+
+// A ring trial that misses its wall budget reports how far it got on both
+// real-time kinds: with A0 this small no node activates within 50 ms, and
+// the failed trial still carries its clock reading.
+TEST(ThreadNet, MissedWallBudgetReportsProgress) {
+  for (const TransportCase& transport : kTransports) {
+    SCOPED_TRACE(transport.runtime_name);
+    ElectionExperiment experiment;
+    experiment.n = 4;
+    experiment.election.a0 = 1e-9;
+    RuntimeConfig config = election_runtime_config(experiment);
+    config.wall_timeout_ms = 50.0;
+    ElectionRunResult run;
+    const auto driver = make_ring_election_driver(experiment, &run);
+    run_algorithm_trial(transport.kind, std::move(config), *driver);
+    EXPECT_FALSE(run.elected);
+    EXPECT_GT(run.election_time, 0.0);
   }
 }
 
@@ -190,16 +253,16 @@ TEST(ThreadNet, DriftBandParityWithSimulatorOnSmallRing) {
   ASSERT_TRUE(sim_result.elected);
   EXPECT_TRUE(sim_result.safety_ok) << sim_result.safety_detail;
 
-  const ThreadedElectionResult threaded = run_threaded_election(
+  const ElectionRunResult threaded = threaded_election(
       kN, kA0, /*mean_delay=*/1.0, /*seed=*/11, /*time_scale_us=*/150.0,
-      std::chrono::milliseconds(30000), band);
+      band);
   ASSERT_TRUE(threaded.elected);
   EXPECT_TRUE(threaded.safety_ok);
 
   // Both runtimes drive the same algorithm: a ring election needs at least
   // one full circulation on either substrate.
   EXPECT_GE(sim_result.messages, kN);
-  EXPECT_GE(threaded.messages, kN);
+  EXPECT_GE(threaded.messages_total, kN);
 }
 
 // ---------------------------------------------------------------------
@@ -221,20 +284,18 @@ class TimerTerminator final : public Node {
   bool done_ = false;
 };
 
-ThreadNetConfig two_node_config(TransportKind transport,
-                                double time_scale_us = 1000.0) {
-  ThreadNetConfig config;
+RuntimeConfig two_node_config(double time_scale_us = 1000.0) {
+  RuntimeConfig config;
   config.topology = bidirectional_ring(2);
   config.time_scale_us = time_scale_us;
   config.drift = DriftModel::kNone;
-  config.transport = transport;
   return config;
 }
 
 TEST(ThreadNet, WaitUntilAlreadyTruePredicateReturnsImmediately) {
   for (const TransportCase& transport : kTransports) {
     SCOPED_TRACE(transport.runtime_name);
-    ThreadNetwork net(two_node_config(transport.kind));
+    ThreadNetwork net(transport.kind, two_node_config());
     net.build_nodes([](std::size_t) -> NodePtr {
       return std::make_unique<TimerTerminator>(1e9);
     });
@@ -253,7 +314,7 @@ TEST(ThreadNet, WaitUntilAlreadyTruePredicateReturnsImmediately) {
 TEST(ThreadNet, WaitUntilSatisfiedMidWaitReturnsPromptly) {
   for (const TransportCase& transport : kTransports) {
     SCOPED_TRACE(transport.runtime_name);
-    ThreadNetwork net(two_node_config(transport.kind));
+    ThreadNetwork net(transport.kind, two_node_config());
     net.build_nodes([](std::size_t) -> NodePtr {
       // Timer fires at ~50 ms wall (50 sim units at 1000 us/unit).
       return std::make_unique<TimerTerminator>(50.0);
@@ -293,11 +354,10 @@ class Flooder final : public Node {
 TEST(ThreadNet, LossInjectionCountsDropsAndConservesMessages) {
   for (const TransportCase& transport : kTransports) {
     SCOPED_TRACE(transport.runtime_name);
-    ThreadNetConfig config =
-        two_node_config(transport.kind, /*time_scale_us=*/100.0);
+    RuntimeConfig config = two_node_config(/*time_scale_us=*/100.0);
     config.loss_probability = 0.3;
     config.delay = fixed_delay(0.1);
-    ThreadNetwork net(std::move(config));
+    ThreadNetwork net(transport.kind, std::move(config));
     net.build_nodes([](std::size_t i) -> NodePtr {
       return std::make_unique<Flooder>(i == 0 ? 400 : 0);
     });

@@ -95,7 +95,7 @@ std::uint64_t bits_of(double x) {
 
 RingOutcome run_ring(const RingCase& c, bool dense,
                      SimTime deadline = 5000.0) {
-  NetworkConfig config;
+  RuntimeConfig config;
   config.topology = unidirectional_ring(c.n);
   config.delay = make_delay_model(c.delay, 1.0);
   config.drift = c.drift;
@@ -208,7 +208,7 @@ INSTANTIATE_TEST_SUITE_P(
 // delivery such a tie). The tick has not fired yet, so a dense node's
 // answer stays the pending tick and its event is never moved.
 TEST(SparseTicks, DenseTrainKeepsPendingTickOnExactTies) {
-  NetworkConfig config;
+  RuntimeConfig config;
   config.topology = unidirectional_ring(8);
   config.delay = make_delay_model("fixed", 1.0);
   config.tick_phase = TickPhase::kAligned;

@@ -203,15 +203,15 @@ class CountingSink final : public Node {
 
 TEST(UdpNet, ArqOverRealLossDeliversExactlyOnce) {
   constexpr std::uint64_t kMessages = 300;
-  ThreadNetConfig config;
+  RuntimeConfig config;
   config.topology = unidirectional_ring(2);
   config.delay = fixed_delay(0.05);
+  config.drift = DriftModel::kFixedRandomRate;
   config.time_scale_us = 100.0;
   config.loss_probability = 0.3;  // drawn per ATTEMPT, masked by ARQ
-  config.transport = TransportKind::kUdp;
-  config.reliable = true;
+  config.udp_reliable = true;
   config.seed = 3;  // pinned: the attempt-loss coin sequence is replayable
-  ThreadNetwork net(std::move(config));
+  ThreadNetwork net(RuntimeKind::kUdp, std::move(config));
   net.build_nodes([&](std::size_t i) -> NodePtr {
     if (i == 0) return std::make_unique<Burster>(kMessages);
     return std::make_unique<CountingSink>();
@@ -248,15 +248,14 @@ TEST(UdpNet, ArqOverRealLossDeliversExactlyOnce) {
 // Harvested metric names: each transport reports under its own prefix, and
 // trialbench/main.cpp reads the udp rows by name.
 
-std::vector<std::string> harvested_names(TransportKind transport,
-                                         bool reliable) {
-  ThreadNetConfig config;
+std::vector<std::string> harvested_names(RuntimeKind kind, bool reliable) {
+  RuntimeConfig config;
   config.topology = unidirectional_ring(2);
   config.delay = fixed_delay(0.05);
+  config.drift = DriftModel::kFixedRandomRate;
   config.time_scale_us = 100.0;
-  config.transport = transport;
-  config.reliable = reliable;
-  ThreadNetwork net(std::move(config));
+  config.udp_reliable = reliable;
+  ThreadNetwork net(kind, std::move(config));
   net.build_nodes([](std::size_t i) -> NodePtr {
     if (i == 0) return std::make_unique<Burster>(4);
     return std::make_unique<CountingSink>();
@@ -285,7 +284,7 @@ bool has_prefix(const std::vector<std::string>& names,
 
 TEST(UdpNet, HarvestedMetricNamesPerTransport) {
   const std::vector<std::string> thread =
-      harvested_names(TransportKind::kInProcess, /*reliable=*/false);
+      harvested_names(RuntimeKind::kThread, /*reliable=*/false);
   EXPECT_TRUE(has_name(thread, "net.sent"));
   EXPECT_TRUE(has_name(thread, "thread.cv_wakeups"));
   EXPECT_TRUE(has_name(thread, "thread.mailbox_high_water"));
@@ -295,7 +294,7 @@ TEST(UdpNet, HarvestedMetricNamesPerTransport) {
   for (const bool reliable : {false, true}) {
     SCOPED_TRACE(reliable ? "udp reliable" : "udp unreliable");
     const std::vector<std::string> udp =
-        harvested_names(TransportKind::kUdp, reliable);
+        harvested_names(RuntimeKind::kUdp, reliable);
     EXPECT_TRUE(has_name(udp, "net.sent"));
     for (const char* name : {"udp.cv_wakeups", "udp.mailbox_high_water",
                              "udp.datagrams_tx", "udp.retransmits",
@@ -371,11 +370,11 @@ TEST(UdpNet, OverSocketBudgetCellIsRejectedStructurally) {
 }
 
 TEST(UdpNet, PiecewiseDriftRejected) {
-  ThreadNetConfig config;
+  RuntimeConfig config;
   config.topology = unidirectional_ring(3);
   config.drift = DriftModel::kPiecewiseRandom;
-  config.transport = TransportKind::kUdp;
-  EXPECT_DEATH(ThreadNetwork net(std::move(config)), "udp runtime");
+  EXPECT_DEATH(ThreadNetwork net(RuntimeKind::kUdp, std::move(config)),
+               "udp runtime");
 }
 
 TEST(UdpNet, ArqSuffixAppearsOnlyOnReliableUdpCells) {
