@@ -47,10 +47,11 @@
 //                 runtime cannot realise (piecewise drift, n > 256
 //                 threads / n > 128 sockets) are rejected up front, and
 //                 wall-clock results are nondeterministic by design.
-//   --arq         udp cells only (run/replay): layer the net/arq.h
-//                 retransmission protocol per channel (ACKs, seq dedup,
-//                 bounded retries) so lossy cells still deliver exactly
-//                 once; adds "/arq" to the cell id
+//   --arq         udp cells only (run/replay): turn on the udp transport's
+//                 own per-channel ARQ (sequence numbers, ACKs, dedup,
+//                 timeout retransmission with an attempt cap; see
+//                 runtime/udp_transport.h) so lossy cells still deliver
+//                 exactly once; adds "/arq" to the cell id
 //   --json PATH   also write the structured sweep JSON ("-" for stdout)
 //   --n N         override the topology size (run/replay only)
 //   --delay NAME --mean M   override the delay model (run/replay only)

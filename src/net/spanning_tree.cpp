@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <deque>
-#include <limits>
 
 #include "util/check.h"
 
@@ -14,24 +13,54 @@ std::size_t SpanningTree::height() const {
   return h;
 }
 
+OutChannelIndex::OutChannelIndex(const Topology& topology)
+    : by_node_(topology.n) {
+  // Channel k of u is u's k-th outgoing edge in edge order, as in
+  // out_adjacency.
+  for (const Edge& e : topology.edges) {
+    ABE_CHECK_LT(e.from, topology.n);
+    auto& entries = by_node_[e.from];
+    entries.emplace_back(e.to, entries.size());
+  }
+  for (auto& entries : by_node_) {
+    // Neighbour ascending, k descending: the first entry of each neighbour
+    // carries its highest k, and unique keeps exactly that one.
+    std::sort(entries.begin(), entries.end(),
+              [](const Entry& a, const Entry& b) {
+                return a.first != b.first ? a.first < b.first
+                                          : a.second > b.second;
+              });
+    entries.erase(std::unique(entries.begin(), entries.end(),
+                              [](const Entry& a, const Entry& b) {
+                                return a.first == b.first;
+                              }),
+                  entries.end());
+  }
+}
+
+std::size_t OutChannelIndex::lookup(std::size_t u, std::size_t v) const {
+  ABE_CHECK_LT(u, by_node_.size());
+  const auto& entries = by_node_[u];
+  const auto it = std::lower_bound(
+      entries.begin(), entries.end(), v,
+      [](const Entry& entry, std::size_t key) { return entry.first < key; });
+  return it != entries.end() && it->first == v ? it->second : kNone;
+}
+
 SpanningTree bfs_spanning_tree(const Topology& topology, std::size_t root) {
   validate_topology(topology);
   ABE_CHECK_LT(root, topology.n);
-  ABE_CHECK(is_strongly_connected(topology))
-      << "spanning tree needs a strongly connected graph";
 
-  // Forward adjacency plus a reverse-edge existence set.
+  // Forward adjacency in edge order (it fixes the BFS order, hence the
+  // tree), plus the index for the reverse-channel check.
   std::vector<std::vector<std::size_t>> nbr(topology.n);
-  std::vector<std::vector<char>> has_edge;  // dense for small n
-  has_edge.assign(topology.n, std::vector<char>(topology.n, 0));
-  for (const Edge& e : topology.edges) {
-    nbr[e.from].push_back(e.to);
-    has_edge[e.from][e.to] = 1;
-  }
+  for (const Edge& e : topology.edges) nbr[e.from].push_back(e.to);
+  const OutChannelIndex channels(topology);
 
+  constexpr std::size_t kUnseen = OutChannelIndex::kNone;
   SpanningTree tree;
   tree.root = root;
-  tree.parent.assign(topology.n, std::numeric_limits<std::size_t>::max());
+  tree.parent.assign(topology.n, kUnseen);
   tree.children.assign(topology.n, {});
   tree.depth.assign(topology.n, 0);
   tree.parent[root] = root;
@@ -41,10 +70,8 @@ SpanningTree bfs_spanning_tree(const Topology& topology, std::size_t root) {
     const std::size_t u = queue.front();
     queue.pop_front();
     for (std::size_t v : nbr[u]) {
-      if (tree.parent[v] != std::numeric_limits<std::size_t>::max()) {
-        continue;
-      }
-      ABE_CHECK(has_edge[v][u])
+      if (tree.parent[v] != kUnseen) continue;
+      ABE_CHECK(channels.lookup(v, u) != OutChannelIndex::kNone)
           << "tree edge " << u << "->" << v
           << " lacks the reverse channel the β protocol needs";
       tree.parent[v] = u;
@@ -54,25 +81,10 @@ SpanningTree bfs_spanning_tree(const Topology& topology, std::size_t root) {
     }
   }
   for (std::size_t v = 0; v < topology.n; ++v) {
-    ABE_CHECK(tree.parent[v] != std::numeric_limits<std::size_t>::max())
+    ABE_CHECK(tree.parent[v] != kUnseen)
         << "node " << v << " unreachable from root";
   }
   return tree;
-}
-
-std::vector<std::vector<std::size_t>> out_channel_to_neighbor(
-    const Topology& topology) {
-  const auto out = out_adjacency(topology);
-  std::vector<std::vector<std::size_t>> map(
-      topology.n,
-      std::vector<std::size_t>(topology.n,
-                               std::numeric_limits<std::size_t>::max()));
-  for (std::size_t u = 0; u < topology.n; ++u) {
-    for (std::size_t k = 0; k < out[u].size(); ++k) {
-      map[u][topology.edges[out[u][k]].to] = k;
-    }
-  }
-  return map;
 }
 
 }  // namespace abe

@@ -100,10 +100,13 @@ Topology torus(std::size_t rows, std::size_t cols) {
   t.n = rows * cols;
   t.name = "torus";
   auto id = [cols](std::size_t r, std::size_t c) { return r * cols + c; };
+  // A dimension of 2 wraps onto the neighbour it already has, emitting each
+  // of those edges twice; only then is the set needed to keep the first.
+  const bool dedup = rows == 2 || cols == 2;
+  t.edges.reserve(4 * t.n);
   std::set<std::pair<std::size_t, std::size_t>> seen;
   auto add = [&](std::size_t a, std::size_t b) {
-    if (a == b) return;  // 2x2 torus wraps onto the same neighbour
-    if (seen.insert({a, b}).second) t.edges.push_back(Edge{a, b});
+    if (!dedup || seen.insert({a, b}).second) t.edges.push_back(Edge{a, b});
   };
   for (std::size_t r = 0; r < rows; ++r) {
     for (std::size_t c = 0; c < cols; ++c) {

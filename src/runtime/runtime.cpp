@@ -165,10 +165,10 @@ TrialOutcome run_algorithm_trial(RuntimeKind kind, RuntimeConfig config,
   const auto ms_between = [](WallClock::time_point a, WallClock::time_point b) {
     return std::chrono::duration<double, std::milli>(b - a).count();
   };
+  const auto wall_begin = WallClock::now();
   driver.configure(config);
   const SimTime deadline = config.deadline;
   const bool want_metrics = config.metrics;
-  const auto wall_begin = WallClock::now();
   std::unique_ptr<Runtime> rt = make_runtime(kind, std::move(config));
   rt->build_nodes([&driver](std::size_t i) { return driver.make_node(i); });
   const auto wall_built = WallClock::now();

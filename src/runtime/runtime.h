@@ -74,7 +74,9 @@ struct RunStats {
 // Wall-clock phase timing of one trial, measured by run_algorithm_trial.
 // Kept OUTSIDE MetricsSnapshot on purpose: wall times differ run to run,
 // while simulator snapshots must compare bit-identical across trial-pool
-// thread counts.
+// thread counts. The clock starts at driver.configure, so build_ms counts
+// the driver's wiring (polling and β spanning trees); the topology itself
+// is built before that, outside the wall (run_scenario_trial).
 struct WallPhaseTimes {
   double build_ms = 0.0;   // configure + runtime construction + build_nodes
   double run_ms = 0.0;     // start → done-predicate (or deadline)

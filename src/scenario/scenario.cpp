@@ -835,10 +835,12 @@ std::vector<ScenarioMatrix> build_sweeps() {
   {
     ScenarioMatrix m;
     m.name = "scale";
-    m.description = "polling election on the torus at n in {10^4, 3x10^4}";
+    m.description =
+        "polling election on the torus at n in {10^4, 3x10^4, 316^2}";
     m.algorithms = {ScenarioAlgorithm::kPollingElection};
     m.topologies = {TopologySpec{TopologyFamily::kTorus, 10000, 0.0},
-                    TopologySpec{TopologyFamily::kTorus, 30000, 0.0}};
+                    TopologySpec{TopologyFamily::kTorus, 30000, 0.0},
+                    TopologySpec{TopologyFamily::kTorus, 99856, 0.0}};
     m.delays = {{"exponential", 1.0}};
     m.base.default_trials = 4;
     sweeps.push_back(std::move(m));

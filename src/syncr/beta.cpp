@@ -1,6 +1,5 @@
 #include "syncr/beta.h"
 
-#include <limits>
 #include <sstream>
 #include <utility>
 
@@ -20,20 +19,20 @@ std::string BetaControl::describe() const {
 std::vector<BetaWiring> build_beta_wiring(const Topology& topology,
                                           const SpanningTree& tree) {
   const auto in_adj = in_adjacency(topology);
-  const auto to_nbr = out_channel_to_neighbor(topology);
-  constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
+  const OutChannelIndex to_nbr(topology);
+  constexpr std::size_t kNone = OutChannelIndex::kNone;
 
   std::vector<BetaWiring> wiring(topology.n);
   for (std::size_t v = 0; v < topology.n; ++v) {
     BetaWiring& w = wiring[v];
     w.is_root = v == tree.root;
     if (!w.is_root) {
-      w.parent_out = to_nbr[v][tree.parent[v]];
+      w.parent_out = to_nbr.lookup(v, tree.parent[v]);
       ABE_CHECK(w.parent_out != kNone)
           << "no channel from " << v << " to parent " << tree.parent[v];
     }
     for (std::size_t child : tree.children[v]) {
-      const std::size_t out = to_nbr[v][child];
+      const std::size_t out = to_nbr.lookup(v, child);
       ABE_CHECK(out != kNone)
           << "no channel from " << v << " to child " << child;
       w.children_out.push_back(out);
@@ -42,7 +41,7 @@ std::vector<BetaWiring> build_beta_wiring(const Topology& topology,
     w.reverse_of_in.resize(in_adj[v].size());
     for (std::size_t k = 0; k < in_adj[v].size(); ++k) {
       const std::size_t sender = topology.edges[in_adj[v][k]].from;
-      const std::size_t back = to_nbr[v][sender];
+      const std::size_t back = to_nbr.lookup(v, sender);
       ABE_CHECK(back != kNone) << "edge " << sender << "->" << v
                                << " lacks the reverse ack channel";
       w.reverse_of_in[k] = back;

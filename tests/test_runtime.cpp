@@ -595,5 +595,36 @@ TEST(CrossRuntimeParity, WallPhaseTimesSumToTotal) {
   }
 }
 
+// The build wall starts before driver.configure, where polling and β build
+// their wiring, so a slow configure shows up in wall.build_ms.
+TEST(RuntimeApi, BuildWallCountsConfigure) {
+  class SlowConfigureDriver final : public AlgorithmDriver {
+   public:
+    void configure(RuntimeConfig&) override {
+      const auto until =
+          std::chrono::steady_clock::now() + std::chrono::milliseconds(20);
+      while (std::chrono::steady_clock::now() < until) {
+      }
+    }
+    NodePtr make_node(std::size_t) override {
+      return std::make_unique<TimerTerminator>(1.0);
+    }
+    bool done(const Runtime&) override { return true; }
+    TrialOutcome extract(Runtime&, bool completed) override {
+      TrialOutcome outcome;
+      outcome.completed = completed;
+      return outcome;
+    }
+  };
+  SlowConfigureDriver driver;
+  const TrialOutcome outcome =
+      run_algorithm_trial(RuntimeKind::kSim, two_node_config(), driver);
+  EXPECT_TRUE(outcome.completed);
+  EXPECT_GE(outcome.wall.build_ms, 20.0);
+  EXPECT_NEAR(outcome.wall.build_ms + outcome.wall.run_ms +
+                  outcome.wall.settle_ms,
+              outcome.wall.total_ms, 1e-6);
+}
+
 }  // namespace
 }  // namespace abe
